@@ -40,14 +40,11 @@ from .errors import (
 from .events import (
     EventKind,
     ExecutionSpan,
-    SpanDelimiter,
     SpanExtraction,
     TraceEvent,
     extract_spans,
     iter_trace,
     read_trace,
-    span_marker_delimiter,
-    syscall_pair_delimiter,
     write_trace,
 )
 from .graph import (
@@ -59,7 +56,6 @@ from .graph import (
     build_depgraph,
     build_span_graph,
     canonicalize,
-    merge_graphs,
     to_dot,
     to_json_dict,
 )
@@ -69,10 +65,7 @@ from .states import (
     StateKind,
     StateValue,
     ThreadState,
-    WakeReasonConfig,
     build_state_db,
-    load_snapshot,
-    save_snapshot,
 )
 from .synth import ScenarioSpec, generate, generate_files, iter_events
 

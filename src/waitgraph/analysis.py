@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import EmptyCluster, InvalidParameter, RootConflict, TooFewSpans
 from .events import ExecutionSpan
-from .graph import DepGraph, NodeId, NodeKind, node_id_str
+from .graph import _DOT_SHAPES, DepGraph, NodeId, NodeKind, _quote, node_id_str
 from .states import (
     BlockReason,
     StateDatabase,
@@ -406,13 +406,7 @@ def compare(left: RepresentativeGraph, right: RepresentativeGraph,
     return ComparisonGraph(nodes=nodes, edges=edges, stat=stat)
 
 
-_DOT_SHAPES = {NodeKind.THREAD: "box", NodeKind.SYSCALL: "ellipse",
-               NodeKind.RESOURCE: "diamond"}
 _NODE_STYLE = {"left": "dashed", "right": "dotted", "both": "solid"}
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def comparison_to_dot(cg: ComparisonGraph) -> str:

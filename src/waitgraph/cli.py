@@ -33,8 +33,7 @@ from .events import extract_spans, read_trace, write_trace
 # bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
 _INPUT_ERRORS = (InvalidParameter, TooFewSpans, MalformedRecord,
                  UnknownEventKind, NonMonotonicTimestamp, NestingViolation,
-                 SwitchConflict, UnmatchedEnd, OverlappingSpan,
-                 FileNotFoundError)
+                 SwitchConflict, UnmatchedEnd, OverlappingSpan, OSError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,13 +130,33 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _report_clusters(path: str) -> dict[int, list[str]]:
+    """Span ids per cluster id from a `cluster` report.
+
+    Raises InvalidParameter when the file is not JSON or lacks the
+    ``spans`` list of {"span_id": str, "cluster": int} records.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+        raise InvalidParameter(f"{path}: not a JSON cluster report: {exc}") from exc
+    spans = report.get("spans") if isinstance(report, dict) else None
+    if not isinstance(spans, list):
+        raise InvalidParameter(f"{path}: cluster report has no 'spans' list")
+    by_cluster: dict[int, list[str]] = {}
+    for i, rec in enumerate(spans):
+        if not isinstance(rec, dict) or type(rec.get("cluster")) is not int \
+                or not isinstance(rec.get("span_id"), str):
+            raise InvalidParameter(
+                f"{path}: spans[{i}] needs an integer 'cluster' and a string 'span_id'")
+        by_cluster.setdefault(rec["cluster"], []).append(rec["span_id"])
+    return by_cluster
+
+
 def cmd_compare(args) -> int:
     _, db, extraction = _load_pipeline(args.trace)
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
-    by_cluster: dict[int, list[str]] = {}
-    for rec in report["spans"]:
-        by_cluster.setdefault(rec["cluster"], []).append(rec["span_id"])
+    by_cluster = _report_clusters(args.report)
     spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
     for cluster_id in (args.left, args.right):

@@ -55,7 +55,8 @@ class OverlappingSpan(TraceAnalysisError):
 
 
 class RootConflict(TraceAnalysisError):
-    """Two graphs with different roots were merged without a super-root."""
+    """``representative`` was given graphs with different roots (one
+    cluster mixes spans whose root threads differ)."""
 
 
 class TooFewSpans(TraceAnalysisError):

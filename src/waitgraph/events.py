@@ -125,9 +125,6 @@ class TraceEvent:
     kind: EventKind
     payload: dict = field(default_factory=dict)
 
-    def __getitem__(self, key: str):
-        return self.payload[key]
-
 
 @dataclass(frozen=True)
 class ExecutionSpan:
@@ -224,8 +221,9 @@ def read_trace(source) -> list[TraceEvent]:
     """Parse a JSONL trace into timestamp-ordered events.
 
     *source* may be a path, raw bytes, or a seekable binary file object.
-    Raises MalformedRecord / UnknownEventKind / NonMonotonicTimestamp /
-    NestingViolation with the offending 1-based line number.
+    Raises MalformedRecord (also for bytes that are not UTF-8) /
+    UnknownEventKind / NonMonotonicTimestamp / NestingViolation with the
+    offending 1-based line number.
     """
     # pause the cycle collector while allocating millions of records; the
     # event graph is acyclic so the pause only avoids wasted full-heap scans
@@ -265,66 +263,27 @@ def _write_lines(events: Iterable[TraceEvent], fh) -> None:
         fh.write("\n")
 
 
-@dataclass
-class SpanDelimiter:
-    """Maps events onto span begin/end markers.
+def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
+    """Collect the execution spans delimited by span_begin/span_end events.
 
-    ``begin`` and ``end`` return the span key for a delimiting event and
-    None otherwise; ``root_tid`` picks the root thread from the begin event.
-    """
-
-    begin: Callable[[TraceEvent], str | None]
-    end: Callable[[TraceEvent], str | None]
-    root_tid: Callable[[TraceEvent], int] = lambda ev: ev.tid
-
-
-def span_marker_delimiter() -> SpanDelimiter:
-    """The canonical delimiter: explicit span_begin/span_end events."""
-    return SpanDelimiter(
-        begin=lambda ev: ev.payload["span_id"] if ev.kind is EventKind.SPAN_BEGIN else None,
-        end=lambda ev: ev.payload["span_id"] if ev.kind is EventKind.SPAN_END else None,
-    )
-
-
-def syscall_pair_delimiter(begin_name: str, end_name: str) -> SpanDelimiter:
-    """Predicate-style delimiter: a syscall entry pair on one thread opens
-    and closes a span keyed by tid (e.g. accept/shutdown on a server)."""
-
-    def _begin(ev: TraceEvent) -> str | None:
-        if ev.kind is EventKind.SYSCALL_ENTRY and ev.payload["name"] == begin_name:
-            return f"tid{ev.tid}"
-        return None
-
-    def _end(ev: TraceEvent) -> str | None:
-        if ev.kind is EventKind.SYSCALL_EXIT and ev.payload["name"] == end_name:
-            return f"tid{ev.tid}"
-        return None
-
-    return SpanDelimiter(begin=_begin, end=_end)
-
-
-def extract_spans(events: Iterable[TraceEvent],
-                  delimiter: SpanDelimiter | None = None) -> SpanExtraction:
-    """Collect delimited execution spans from an event sequence.
-
+    A span is keyed by its span_id and rooted at the begin event's thread.
     Completed spans come back in begin order; begins that never close are
     reported separately as open spans.  Raises UnmatchedEnd for an end with
     no open begin and OverlappingSpan when a span id is re-opened.
     """
-    delim = delimiter or span_marker_delimiter()
     open_by_key: dict[str, OpenSpan] = {}
     order: list[str] = []
     done: list[ExecutionSpan] = []
     for ev in events:
-        key = delim.begin(ev)
-        if key is not None:
+        kind = ev.kind
+        if kind is EventKind.SPAN_BEGIN:
+            key = ev.payload["span_id"]
             if key in open_by_key:
                 raise OverlappingSpan(f"span {key!r} re-opened at ts={ev.ts}")
-            open_by_key[key] = OpenSpan(key, delim.root_tid(ev), ev.ts)
+            open_by_key[key] = OpenSpan(key, ev.tid, ev.ts)
             order.append(key)
-            continue
-        key = delim.end(ev)
-        if key is not None:
+        elif kind is EventKind.SPAN_END:
+            key = ev.payload["span_id"]
             opened = open_by_key.pop(key, None)
             if opened is None:
                 raise UnmatchedEnd(f"span {key!r} ended at ts={ev.ts} with no begin")
@@ -342,6 +301,7 @@ def iter_trace(source) -> Iterator[TraceEvent]:
     entry_families = _NESTING_FAMILIES
     exit_families = _EXIT_TO_ENTRY
     parse = _parse_line
+    lineno = 0
     try:
         for lineno, line in enumerate(stream, start=1):
             head = line[0] if line else "\n"
@@ -366,6 +326,11 @@ def iter_trace(source) -> Iterator[TraceEvent]:
                         line=lineno)
                 stack.pop()
             yield ev
+    except UnicodeDecodeError as exc:
+        # the text layer decodes a whole chunk at once; the newlines in
+        # that chunk before the bad byte locate the offending line
+        bad_line = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise MalformedRecord(bad_line, f"not UTF-8: {exc.reason}") from exc
     finally:
         if owns:
             stream.close()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import RootConflict
+from .errors import InvalidParameter
 from .events import ExecutionSpan
 from .states import (
     BlockReason,
@@ -98,12 +98,6 @@ class DepGraph:
     def root(self) -> DepNode:
         return self.nodes[self.root_id]
 
-    def out_edges(self, node_id: NodeId) -> list[DepEdge]:
-        return [e for (s, _), e in self.edges.items() if s == node_id]
-
-    def in_edges(self, node_id: NodeId) -> list[DepEdge]:
-        return [e for (_, d), e in self.edges.items() if d == node_id]
-
 
 def _node_label(node_id: NodeId) -> str:
     kind = node_id[0]
@@ -169,32 +163,6 @@ def add_to_graph(graph: DepGraph, edge: DepEdge) -> DepGraph:
     if dst.kind is NodeKind.RESOURCE:
         dst.total_ns += edge.weight_ns
     return graph
-
-
-def merge_graphs(g1: DepGraph, g2: DepGraph,
-                 super_root: NodeId | None = None) -> DepGraph:
-    """Union of two graphs: matching edges sum weight and count, node
-    totals sum.  Different roots require an explicit super_root."""
-    if g1.root_id == g2.root_id:
-        root = g1.root_id
-    elif super_root is not None:
-        root = super_root
-    else:
-        raise RootConflict(f"cannot merge roots {g1.root_id} and {g2.root_id}")
-    out = DepGraph(root_id=root, span=g1.span,
-                   cycle_detected=g1.cycle_detected or g2.cycle_detected,
-                   depth_truncated=g1.depth_truncated or g2.depth_truncated)
-    if super_root is not None:
-        ensure_node(out, root)
-    for g in (g1, g2):
-        for node_id, node in g.nodes.items():
-            mine = ensure_node(out, node_id)
-            mine.total_ns += node.total_ns
-        # resource totals already carried over with the node totals
-        for edge in g.edges.values():
-            _fold_edge(out.edges, edge.src, edge.dst, edge.weight_ns,
-                       edge.count, edge.devices)
-    return out
 
 
 class _GraphBuilder:
@@ -334,10 +302,13 @@ def build_depgraph(db: StateDatabase, root_tid: int, ts_s: int, ts_e: int,
 
     A root thread absent from the range yields a graph with the root node
     only.  Recursion is guarded by a per-build visited set and a depth cap;
-    mutual waits set cycle_detected instead of recursing forever.
+    mutual waits set cycle_detected instead of recursing forever.  Raises
+    InvalidParameter for a negative max_depth.
     """
     if ts_s >= ts_e:
         raise ValueError("build_depgraph: ts_s must be < ts_e")
+    if max_depth < 0:
+        raise InvalidParameter(f"max_depth must be >= 0, got {max_depth}")
     return _GraphBuilder(db, max_depth).build(root_tid, ts_s, ts_e)
 
 

@@ -21,13 +21,11 @@ intervals of one device never overlap.
 from __future__ import annotations
 
 import gc
-import json
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NestingViolation, SwitchConflict
 from .events import EventKind, TraceEvent
@@ -112,7 +110,7 @@ def disk_active_key(dev: str) -> str:
     return f"disk/{dev}/active_tid"
 
 
-# Linux softirq vector numbers for the default wake-reason mapping.
+# Linux softirq vector numbers for the wake-reason mapping.
 SOFTIRQ_TIMER = 1
 SOFTIRQ_NET_TX = 2
 SOFTIRQ_NET_RX = 3
@@ -124,15 +122,6 @@ DEFAULT_SOFTIRQ_REASONS = {
     SOFTIRQ_NET_RX: BlockReason.NETWORK,
     SOFTIRQ_BLOCK: BlockReason.DISK,
 }
-
-
-@dataclass
-class WakeReasonConfig:
-    """Maps the interrupt context active at wakeup time to a block reason."""
-
-    softirq_reasons: dict[int, BlockReason] = field(
-        default_factory=lambda: dict(DEFAULT_SOFTIRQ_REASONS))
-    irq_reasons: dict[int, BlockReason] = field(default_factory=dict)
 
 
 class StateDatabase:
@@ -153,10 +142,6 @@ class StateDatabase:
     def intervals(self, key: str) -> list[StateValue]:
         """The raw sorted interval list for a key (do not mutate)."""
         return self._intervals.get(key, [])
-
-    def iter_all(self) -> Iterator[StateValue]:
-        for key in self.keys():
-            yield from self._intervals[key]
 
     def comm(self, tid: int) -> str:
         return self.comms.get(tid, f"tid{tid}")
@@ -233,25 +218,11 @@ class StateDatabase:
             ivs.sort(key=lambda sv: sv.start)
         return usage
 
-    def threads_using_disk(self, t_a: int, t_b: int,
-                           dev: str | None = None) -> list[tuple[int, int]]:
-        """(tid, total overlap ns) for threads whose I/O the disk served in
-        the range; zero-overlap threads omitted; ordered by tid."""
-        usage = self.disk_usage_by_thread(t_a, t_b, dev)
-        out = [(tid, sum(sv.duration_ns for sv in ivs)) for tid, ivs in usage.items()]
-        return sorted((t, d) for t, d in out if d > 0)
-
     def cpu_usage_by_thread(self, cpu: int, t_a: int, t_b: int) -> dict[int, list[StateValue]]:
         usage: dict[int, list[StateValue]] = {}
         for sv in self.query_range(cpu_current_key(cpu), t_a, t_b):
             usage.setdefault(int(sv.value), []).append(sv)
         return usage
-
-    def threads_on_cpu(self, cpu: int, t_a: int, t_b: int) -> list[tuple[int, int]]:
-        """(tid, total running overlap ns) on one CPU in the range."""
-        usage = self.cpu_usage_by_thread(cpu, t_a, t_b)
-        out = [(tid, sum(sv.duration_ns for sv in ivs)) for tid, ivs in usage.items()]
-        return sorted((t, d) for t, d in out if d > 0)
 
     def last_cpu_before(self, tid: int, t: int) -> int | None:
         v = self.last_value_before(thread_cpu_key(tid), t)
@@ -259,8 +230,7 @@ class StateDatabase:
 
 
 class _Builder:
-    def __init__(self, wake_config: WakeReasonConfig):
-        self.cfg = wake_config
+    def __init__(self):
         self.intervals: dict[str, list[StateValue]] = {}
         self.open: dict[str, tuple[int, object]] = {}
         self.comms: dict[int, str] = {}
@@ -420,13 +390,9 @@ class _Builder:
         if ctx == "softirq":
             for fam, token in reversed(stack):
                 if fam == "softirq":
-                    reason = self.cfg.softirq_reasons.get(token, BlockReason.UNKNOWN)
+                    reason = DEFAULT_SOFTIRQ_REASONS.get(token, BlockReason.UNKNOWN)
                     return ThreadState(StateKind.BLOCKED, reason, None)
-        elif ctx == "irq":
-            for fam, token in reversed(stack):
-                if fam == "irq":
-                    reason = self.cfg.irq_reasons.get(token, BlockReason.UNKNOWN)
-                    return ThreadState(StateKind.BLOCKED, reason, None)
+        # irq-context wakes have no per-line mapping and stay unknown
         return ThreadState(StateKind.BLOCKED, BlockReason.UNKNOWN, None)
 
     def _on_wakeup(self, ev: TraceEvent) -> None:
@@ -496,8 +462,7 @@ class _Builder:
                              end, self.count)
 
 
-def build_state_db(events: Iterable[TraceEvent],
-                   wake_config: WakeReasonConfig | None = None) -> StateDatabase:
+def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
     """Fold an ordered event stream into a StateDatabase in one pass.
 
     Mapping rules:
@@ -505,8 +470,8 @@ def build_state_db(events: Iterable[TraceEvent],
         previous -> runnable or blocked per prev_state; the blocked reason
         stays unknown until the wakeup that ends it reveals the context.
       - sched_wakeup: wakee blocked -> runnable; reason patched from the
-        waker context (task/futex handoff, hrtimer -> timer, irq/softirq
-        via the configured per-vector mapping).
+        waker context (task/futex handoff, hrtimer -> timer, softirq via
+        the DEFAULT_SOFTIRQ_REASONS per-vector mapping, irq -> unknown).
       - irq/softirq/hrtimer entry+exit: the thread current on that CPU is
         interrupted for the outermost nested duration.
       - syscall entry/exit: thread/{tid}/syscall holds the innermost name.
@@ -514,7 +479,7 @@ def build_state_db(events: Iterable[TraceEvent],
         disk/{dev}/active_tid service intervals.
       - page_fault / io_read / io_write: cumulative step-function counters.
     """
-    builder = _Builder(wake_config or WakeReasonConfig())
+    builder = _Builder()
     handle = builder.handle
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -526,61 +491,3 @@ def build_state_db(events: Iterable[TraceEvent],
         if was_enabled:
             gc.enable()
     return builder.finish()
-
-
-# -- snapshot ---------------------------------------------------------------
-
-SNAPSHOT_MAGIC = "waitgraph-statedb"
-SNAPSHOT_VERSION = 1
-
-
-def _encode_value(v: object) -> object:
-    if isinstance(v, ThreadState):
-        enc: dict[str, object] = {"state": v.kind.value}
-        if v.reason is not None:
-            enc["reason"] = v.reason.value
-        if v.waker_tid is not None:
-            enc["waker"] = v.waker_tid
-        return enc
-    return v
-
-
-def _decode_value(v: object) -> object:
-    if isinstance(v, dict):
-        return ThreadState(StateKind(v["state"]),
-                           BlockReason(v["reason"]) if "reason" in v else None,
-                           v.get("waker"))
-    return v
-
-
-def save_snapshot(db: StateDatabase, path: str | Path) -> None:
-    """Serialize the full database; reload then re-save is byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"magic": SNAPSHOT_MAGIC, "version": SNAPSHOT_VERSION,
-                  "t_min": db.t_min, "t_max": db.t_max,
-                  "events_consumed": db.events_consumed,
-                  "comms": {str(t): c for t, c in sorted(db.comms.items())}}
-        fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True,
-                            separators=(",", ":")) + "\n")
-        for key in db.keys():
-            for sv in db.intervals(key):
-                rec = {"k": key, "s": sv.start, "e": sv.end,
-                       "v": _encode_value(sv.value)}
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-
-
-def load_snapshot(path: str | Path) -> StateDatabase:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("magic") != SNAPSHOT_MAGIC or header.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: not a state database snapshot")
-        intervals: dict[str, list[StateValue]] = {}
-        for line in fh:
-            rec = json.loads(line)
-            key = rec["k"]
-            intervals.setdefault(key, []).append(
-                StateValue(rec["s"], rec["e"], key, _decode_value(rec["v"])))
-    comms = {int(t): c for t, c in header["comms"].items()}
-    return StateDatabase(intervals, comms, header["t_min"], header["t_max"],
-                         header["events_consumed"])

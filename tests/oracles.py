@@ -15,12 +15,13 @@ from waitgraph.states import BlockReason, StateDatabase, StateKind, StateValue
 def linear_query_range(db: StateDatabase, key: str, t_a: int, t_b: int) -> list[StateValue]:
     """Naive scan of every state value in the database."""
     hits = []
-    for sv in db.iter_all():
-        if sv.key != key:
-            continue
-        if sv.end > t_a and sv.start < t_b:
-            s, e = max(sv.start, t_a), min(sv.end, t_b)
-            hits.append(StateValue(s, e, sv.key, sv.value))
+    for k in db.keys():
+        for sv in db.intervals(k):
+            if sv.key != key:
+                continue
+            if sv.end > t_a and sv.start < t_b:
+                s, e = max(sv.start, t_a), min(sv.end, t_b)
+                hits.append(StateValue(s, e, sv.key, sv.value))
     hits.sort(key=lambda sv: sv.start)
     return hits
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waitgraph.analysis import representative
 from waitgraph.cli import main
@@ -274,3 +276,99 @@ def test_comparison_dot_has_penwidth(lock_dir, cluster_report, tmp_path):
                  "--left", str(fast_cl), "--right", str(slow_cl),
                  "--out", str(out)]) == 0
     assert "penwidth=" in out.read_text()
+
+
+# -- malformed input exits 2 with an error line, never a traceback -------------
+
+
+def _exits_2(argv: list[str], capsys) -> str:
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ")
+    return err
+
+
+def _compare_argv(lock_dir: Path, report: Path, out: Path) -> list[str]:
+    return ["compare", str(lock_dir / "trace.jsonl"), "--report", str(report),
+            "--left", "0", "--right", "1", "--out", str(out)]
+
+
+def test_compare_empty_report_exits_2(lock_dir, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text("{}")
+    err = _exits_2(_compare_argv(lock_dir, report, tmp_path / "x.dot"), capsys)
+    assert "spans" in err
+
+
+@pytest.mark.parametrize("text", ["clusters: 0, 1\n",
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["not_json", "too_deep"])
+def test_compare_non_json_report_exits_2(lock_dir, tmp_path, capsys, text):
+    report = tmp_path / "r.json"
+    report.write_text(text)
+    _exits_2(_compare_argv(lock_dir, report, tmp_path / "x.dot"), capsys)
+
+
+@pytest.mark.parametrize("field", ["span_id", "cluster"])
+def test_compare_report_record_missing_field_exits_2(lock_dir, cluster_report,
+                                                     tmp_path, capsys, field):
+    report = json.loads(cluster_report.read_text())
+    del report["spans"][1][field]
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps(report))
+    err = _exits_2(_compare_argv(lock_dir, bad, tmp_path / "x.dot"), capsys)
+    assert "spans[1]" in err
+
+
+def test_directory_as_trace_exits_2(tmp_path, capsys):
+    _exits_2(["graph", str(tmp_path), "--span", "s0000",
+              "--out", str(tmp_path / "x.dot")], capsys)
+
+
+def test_output_under_regular_file_exits_2(lock_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
+              "--out", str(blocker / "sub" / "x.dot")], capsys)
+
+
+def test_non_utf8_trace_exits_2_with_line(lock_dir, tmp_path, capsys):
+    lines = (lock_dir / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"comm":"', b'"comm":"\xff', 1)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(lines))
+    err = _exits_2(["graph", str(trace), "--span", "s0000",
+                    "--out", str(tmp_path / "x.dot")], capsys)
+    assert "line 3" in err
+
+
+def test_graph_negative_max_depth_exits_2(lock_dir, tmp_path, capsys):
+    out = tmp_path / "x.dot"
+    err = _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
+                    "--max-depth", "-1", "--out", str(out)], capsys)
+    assert "max_depth" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_lock_dir(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--scenario", "lock", "--seed", "3", "--spans", "2",
+                 "--filler-events", "0", "--out-dir", str(out)]) == 0
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_mutated_trace_never_escapes_exit_codes(small_lock_dir, data):
+    trace = bytearray((small_lock_dir / "trace.jsonl").read_bytes())
+    positions = st.integers(0, len(trace) - 1)
+    for pos, byte in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)),
+                                        min_size=1, max_size=3)):
+        trace[pos] = byte
+    path = small_lock_dir / "mutated.jsonl"
+    path.write_bytes(bytes(trace))
+    rc = main(["graph", str(path), "--span", "s0000",
+               "--out", str(small_lock_dir / "mutated.dot")])
+    assert rc in (0, 2, 3)

@@ -19,7 +19,6 @@ from waitgraph.events import (
     TraceEvent,
     extract_spans,
     read_trace,
-    syscall_pair_delimiter,
     write_trace,
 )
 from randtrace import random_trace
@@ -71,6 +70,17 @@ def test_malformed_record_has_line_number():
     with pytest.raises(MalformedRecord) as exc:
         read_trace(_as_bytes(*lines))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_non_utf8_record_has_line_number(compress):
+    good = _line(ts=1, cpu=0, tid=1, comm="x", kind="page_fault").encode()
+    bad = good.replace(b'"x"', b'"x\xff"')
+    # line 401 lies past the first chunk the text layer decodes
+    data = b"\n".join([good] * 400 + [bad] + [good] * 3) + b"\n"
+    with pytest.raises(MalformedRecord) as exc:
+        read_trace(gzip.compress(data) if compress else data)
+    assert exc.value.line == 401
 
 
 def test_unknown_kind_rejected():
@@ -206,18 +216,3 @@ def test_concatenation_equals_union():
     assert sorted(merged, key=lambda s: s.span_id) == \
         sorted(parts, key=lambda s: s.span_id)
 
-
-def test_predicate_delimiter_maps_onto_span_mechanism():
-    def sys_ev(ts, tid, kind, name):
-        return TraceEvent(ts, 0, tid, f"w{tid}", kind, {"name": name})
-
-    events = [
-        sys_ev(10, 7, EventKind.SYSCALL_ENTRY, "accept"),
-        sys_ev(15, 7, EventKind.SYSCALL_EXIT, "accept"),
-        sys_ev(40, 7, EventKind.SYSCALL_ENTRY, "shutdown"),
-        sys_ev(50, 7, EventKind.SYSCALL_EXIT, "shutdown"),
-    ]
-    got = extract_spans(events, syscall_pair_delimiter("accept", "shutdown"))
-    assert len(got.spans) == 1
-    span = got.spans[0]
-    assert span.root_tid == 7 and span.t_start == 10 and span.t_end == 50

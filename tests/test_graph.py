@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waitgraph.errors import RootConflict
 from waitgraph.events import EventKind, TraceEvent
 from waitgraph.graph import (
     DepEdge,
@@ -17,7 +16,6 @@ from waitgraph.graph import (
     build_span_graph,
     canonicalize,
     ensure_node,
-    merge_graphs,
     thread_node_id,
     to_dot,
     to_json_dict,
@@ -105,52 +103,6 @@ def test_add_to_graph_matches_multimap_sum(edges):
         add_to_graph(g, DepEdge(src, dst, w))
         oracle.setdefault((src, dst), []).append(w)
     assert edge_stats(g) == {k: (sum(v), len(v)) for k, v in oracle.items()}
-
-
-# -- merge_graphs ---------------------------------------------------------------
-
-
-def _random_graph(rng: random.Random, root=("thread", 0, "w0")) -> DepGraph:
-    g = _empty(root)
-    for _ in range(rng.randint(1, 12)):
-        s, d = rng.sample(range(5), 2)
-        add_to_graph(g, DepEdge(thread_node_id(s, f"w{s}"),
-                                thread_node_id(d, f"w{d}"),
-                                rng.randint(1, 9_999)))
-    ensure_node(g, root).total_ns += rng.randint(0, 1000)
-    return g
-
-
-def test_merge_with_empty_is_identity():
-    rng = random.Random(0)
-    g = _random_graph(rng)
-    merged = merge_graphs(g, _empty(("thread", 0, "w0")))
-    assert edge_stats(merged) == edge_stats(g)
-    assert {n: v.total_ns for n, v in merged.nodes.items()} == \
-        {n: v.total_ns for n, v in g.nodes.items()}
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_merge_commutes_and_associates(seed):
-    rng = random.Random(seed)
-    g1, g2, g3 = (_random_graph(rng) for _ in range(3))
-    ab = merge_graphs(g1, g2)
-    ba = merge_graphs(g2, g1)
-    assert edge_stats(ab) == edge_stats(ba)
-    left = merge_graphs(merge_graphs(g1, g2), g3)
-    right = merge_graphs(g1, merge_graphs(g2, g3))
-    assert edge_stats(left) == edge_stats(right)
-    assert {n: v.total_ns for n, v in left.nodes.items()} == \
-        {n: v.total_ns for n, v in right.nodes.items()}
-
-
-def test_merge_different_roots_requires_super_root():
-    g1 = _empty(("thread", 1, "a"))
-    g2 = _empty(("thread", 2, "b"))
-    with pytest.raises(RootConflict):
-        merge_graphs(g1, g2)
-    merged = merge_graphs(g1, g2, super_root=("thread", 9, "super"))
-    assert merged.root_id == ("thread", 9, "super")
 
 
 # -- scenario structure ----------------------------------------------------------

