@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import analysis, graph, states, synth
@@ -28,7 +26,7 @@ from .errors import (
     UnknownEventKind,
     UnmatchedEnd,
 )
-from .events import extract_spans, read_trace, write_trace
+from .events import atomic_output, extract_spans, read_trace
 
 # bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
 _INPUT_ERRORS = (InvalidParameter, TooFewSpans, MalformedRecord,
@@ -47,15 +45,8 @@ class _NotFound(Exception):
 
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_output(path) as fh:
+        fh.write(data.encode("utf-8"))
 
 
 def _json_text(obj) -> str:
@@ -66,7 +57,7 @@ def _load_pipeline(trace_path: str):
     events = read_trace(trace_path)
     db = states.build_state_db(events)
     extraction = extract_spans(events)
-    return events, db, extraction
+    return db, extraction
 
 
 def cmd_synth(args) -> int:
@@ -80,22 +71,13 @@ def cmd_synth(args) -> int:
     suffix = ".jsonl.gz" if args.gz else ".jsonl"
     trace_path = out_dir / f"trace{suffix}"
     gt_path = out_dir / "ground_truth.json"
-    tmp_trace = trace_path.with_name(trace_path.name + ".tmp")
-    gt: list[dict] = []
-    try:
-        write_trace(synth.iter_events(spec, gt), tmp_trace)
-        os.replace(tmp_trace, trace_path)
-    except BaseException:
-        if tmp_trace.exists():
-            tmp_trace.unlink()
-        raise
-    _atomic_write(gt_path, _json_text(synth.ground_truth_dict(spec, gt)))
+    synth.generate_files(spec, trace_path, gt_path)
     print(f"wrote {trace_path} and {gt_path}")
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    _, db, extraction = _load_pipeline(args.trace)
+    db, extraction = _load_pipeline(args.trace)
     span = next((s for s in extraction.spans if s.span_id == args.span), None)
     if span is None:
         raise _NotFound(f"span {args.span!r} not found in {args.trace}")
@@ -118,7 +100,7 @@ def _features_by_span(db, extraction):
 
 
 def cmd_cluster(args) -> int:
-    _, db, extraction = _load_pipeline(args.trace)
+    db, extraction = _load_pipeline(args.trace)
     feats = _features_by_span(db, extraction)
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
@@ -155,7 +137,7 @@ def _report_clusters(path: str) -> dict[int, list[str]]:
 
 
 def cmd_compare(args) -> int:
-    _, db, extraction = _load_pipeline(args.trace)
+    db, extraction = _load_pipeline(args.trace)
     by_cluster = _report_clusters(args.report)
     spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
@@ -184,9 +166,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, db, _ = _load_pipeline(args.trace)
+    db, _ = _load_pipeline(args.trace)
     t_a = args.from_ns if args.from_ns is not None else db.t_min
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
+    if t_a >= t_b:
+        raise InvalidParameter(f"--from {t_a} must be below --to {t_b}")
     lines = []
     for key in db.keys():
         if args.key and not key.startswith(args.key):

@@ -20,7 +20,10 @@ import gc
 import gzip
 import io
 import json
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -134,7 +137,6 @@ class ExecutionSpan:
     root_tid: int
     t_start: int
     t_end: int
-    label: str | None = None
 
     def __post_init__(self):
         if self.t_start >= self.t_end:
@@ -246,14 +248,33 @@ def event_to_record(ev: TraceEvent) -> dict:
     return rec
 
 
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temporary sibling of path that replaces path
+    when the block ends normally and is deleted when it raises."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_trace(events: Iterable[TraceEvent], dest) -> None:
-    """Write events as canonical JSONL; gzip when the path ends in .gz."""
-    if isinstance(dest, (str, Path)):
-        opener = gzip.open if str(dest).endswith(".gz") else open
-        with opener(dest, "wt", encoding="utf-8") as fh:
-            _write_lines(events, fh)
-    else:
+    """Write events as canonical JSONL.  A path is replaced atomically and
+    gzipped when it ends in .gz (zero mtime, so the bytes are reproducible)."""
+    if not isinstance(dest, (str, Path)):
         _write_lines(events, dest)
+        return
+    with atomic_output(dest) as raw:
+        if str(dest).endswith(".gz"):
+            raw = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            _write_lines(events, fh)
 
 
 def _write_lines(events: Iterable[TraceEvent], fh) -> None:

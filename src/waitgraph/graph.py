@@ -112,6 +112,12 @@ def _node_kind(node_id: NodeId) -> NodeKind:
     return NodeKind(node_id[0])
 
 
+def _device_label(key: str) -> str:
+    """The device an occupancy key names: disk/sda/... -> sda, cpu/1/... -> cpu1."""
+    family, dev, _ = key.split("/")
+    return dev if family == "disk" else f"cpu{dev}"
+
+
 def merged_span_total(ivs: list[StateValue]) -> int:
     """Total covered nanoseconds of a sorted interval list, overlaps merged
     (a thread served on two devices at once must not count twice)."""
@@ -224,18 +230,37 @@ class _GraphBuilder:
         self._walk(tid, ws, we, depth + 1)
         self.stack_tids.pop()
 
+    def _blame(self, resource: NodeId, tid: int,
+               usage: dict[int, list[StateValue]], depth: int) -> None:
+        """resource -> every other thread that held it, weighted by merged
+        occupancy; each holder's graph over its occupancy window follows."""
+        usage.pop(tid, None)
+        for utid in sorted(usage):
+            ivs = usage[utid]
+            overlap = merged_span_total(ivs)
+            if overlap <= 0:
+                continue
+            devs = frozenset(_device_label(iv.key) for iv in ivs)
+            self._edge(resource, self._thread_id(utid), overlap, devs)
+            self._recurse(utid, ivs[0].start, ivs[-1].end, depth)
+
     def _walk(self, tid: int, ts_s: int, ts_e: int, depth: int) -> None:
         states = self.db.query_range(thread_state_key(tid), ts_s, ts_e)
         me = self._thread_id(tid)
         syscalls_seen: set[str] = set()
 
-        def syscall_node(name: str) -> NodeId:
-            sid = syscall_node_id(tid, name)
-            if name not in syscalls_seen:
-                syscalls_seen.add(name)
+        def wait_on(target: NodeId, ctx: str | None, dur: int) -> None:
+            """me -> [active syscall ->] target, both edges weighted dur."""
+            if ctx is None:
+                self._edge(me, target, dur)
+                return
+            sid = syscall_node_id(tid, ctx)
+            if ctx not in syscalls_seen:
+                syscalls_seen.add(ctx)
                 node = ensure_node(self.graph, sid)
-                node.total_ns += self._syscall_wall(tid, name, ts_s, ts_e)
-            return sid
+                node.total_ns += self._syscall_wall(tid, ctx, ts_s, ts_e)
+            self._edge(me, sid, dur)
+            self._edge(sid, target, dur)
 
         for sv in states:
             st = sv.value
@@ -244,56 +269,22 @@ class _GraphBuilder:
                     or st.kind is StateKind.INTERRUPTED:
                 continue
             ctx = self._syscall_context(tid, sv.start)
-            if st.kind is StateKind.BLOCKED:
-                if st.reason in (BlockReason.TASK, BlockReason.FUTEX) \
-                        and st.waker_tid is not None:
-                    waker = self._thread_id(st.waker_tid)
-                    if ctx is not None:
-                        sid = syscall_node(ctx)
-                        self._edge(me, sid, dur)
-                        self._edge(sid, waker, dur)
-                    else:
-                        self._edge(me, waker, dur)
-                    self._recurse(st.waker_tid, sv.start, sv.end, depth)
-                elif st.reason is BlockReason.DISK:
-                    if ctx is not None:
-                        sid = syscall_node(ctx)
-                        self._edge(me, sid, dur)
-                        self._edge(sid, DISK_NODE, dur)
-                    else:
-                        self._edge(me, DISK_NODE, dur)
-                    usage = self.db.disk_usage_by_thread(sv.start, sv.end)
-                    usage.pop(tid, None)
-                    for utid in sorted(usage):
-                        ivs = usage[utid]
-                        overlap = merged_span_total(ivs)
-                        if overlap <= 0:
-                            continue
-                        devs = frozenset(iv.key.split("/")[1] for iv in ivs)
-                        self._edge(DISK_NODE, self._thread_id(utid), overlap, devs)
-                        self._recurse(utid, ivs[0].start, ivs[-1].end, depth)
-                # other blocked reasons (timer/network/unknown) name no
-                # culprit thread or tracked resource: no edges.
-            elif st.kind is StateKind.RUNNABLE:
-                if ctx is not None:
-                    sid = syscall_node(ctx)
-                    self._edge(me, sid, dur)
-                    self._edge(sid, CPU_NODE, dur)
-                else:
-                    self._edge(me, CPU_NODE, dur)
+            if st.kind is StateKind.RUNNABLE:
+                wait_on(CPU_NODE, ctx, dur)
                 cpu = self.db.last_cpu_before(tid, sv.start)
-                if cpu is None:
-                    continue
-                usage = self.db.cpu_usage_by_thread(cpu, sv.start, sv.end)
-                usage.pop(tid, None)
-                for utid in sorted(usage):
-                    ivs = usage[utid]
-                    overlap = merged_span_total(ivs)
-                    if overlap <= 0:
-                        continue
-                    self._edge(CPU_NODE, self._thread_id(utid), overlap,
-                               frozenset((f"cpu{cpu}",)))
-                    self._recurse(utid, ivs[0].start, ivs[-1].end, depth)
+                if cpu is not None:
+                    self._blame(CPU_NODE, tid, self.db.cpu_usage_by_thread(
+                        cpu, sv.start, sv.end), depth)
+            elif st.reason in (BlockReason.TASK, BlockReason.FUTEX) \
+                    and st.waker_tid is not None:
+                wait_on(self._thread_id(st.waker_tid), ctx, dur)
+                self._recurse(st.waker_tid, sv.start, sv.end, depth)
+            elif st.reason is BlockReason.DISK:
+                wait_on(DISK_NODE, ctx, dur)
+                self._blame(DISK_NODE, tid, self.db.disk_usage_by_thread(
+                    sv.start, sv.end), depth)
+            # other blocked reasons (timer/network/unknown) name no culprit
+            # thread or tracked resource: no edges.
 
 
 def build_depgraph(db: StateDatabase, root_tid: int, ts_s: int, ts_e: int,

@@ -131,6 +131,7 @@ class StateDatabase:
                  t_min: int, t_max: int, events_consumed: int):
         self._intervals = intervals
         self._starts = {k: [sv.start for sv in ivs] for k, ivs in intervals.items()}
+        self._disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
         self.comms = comms
         self.t_min = t_min
         self.t_max = t_max
@@ -190,26 +191,18 @@ class StateDatabase:
 
     def counter_delta(self, tid: int, counter: str, t_a: int, t_b: int) -> int:
         """Number of counted units in [t_a, t_b) for a cumulative counter."""
+        # the count at t is the last step starting before t, 0 before any step
         key = thread_counter_key(tid, counter)
-
-        def cum(t: int) -> int:
-            v = self.query_at(key, t)
-            if v is not None:
-                return int(v)
-            prior = self.last_value_before(key, t)
-            return int(prior) if prior is not None else 0
-
-        return cum(t_b - 1) - cum(t_a - 1)
+        before_b = self.last_value_before(key, t_b)
+        before_a = self.last_value_before(key, t_a)
+        return int(before_b or 0) - int(before_a or 0)
 
     # -- resource occupancy ------------------------------------------------
 
-    def disk_usage_by_thread(self, t_a: int, t_b: int,
-                             dev: str | None = None) -> dict[int, list[StateValue]]:
-        """Per-tid clipped disk service intervals intersecting the range."""
-        if dev is not None:
-            keys = [disk_active_key(dev)]
-        else:
-            keys = [k for k in self.keys() if k.startswith("disk/")]
+    def _occupancy(self, keys: list[str], t_a: int,
+                   t_b: int) -> dict[int, list[StateValue]]:
+        """Per-tid clipped intervals of the keys intersecting [t_a, t_b),
+        each tid's list sorted by start."""
         usage: dict[int, list[StateValue]] = {}
         for key in keys:
             for sv in self.query_range(key, t_a, t_b):
@@ -218,11 +211,11 @@ class StateDatabase:
             ivs.sort(key=lambda sv: sv.start)
         return usage
 
+    def disk_usage_by_thread(self, t_a: int, t_b: int) -> dict[int, list[StateValue]]:
+        return self._occupancy(self._disk_keys, t_a, t_b)
+
     def cpu_usage_by_thread(self, cpu: int, t_a: int, t_b: int) -> dict[int, list[StateValue]]:
-        usage: dict[int, list[StateValue]] = {}
-        for sv in self.query_range(cpu_current_key(cpu), t_a, t_b):
-            usage.setdefault(int(sv.value), []).append(sv)
-        return usage
+        return self._occupancy([cpu_current_key(cpu)], t_a, t_b)
 
     def last_cpu_before(self, tid: int, t: int) -> int | None:
         v = self.last_value_before(thread_cpu_key(tid), t)

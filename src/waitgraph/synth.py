@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import InvalidParameter
-from .events import EventKind, TraceEvent, write_trace
+from .events import EventKind, TraceEvent, atomic_output, write_trace
 
 SCENARIOS = ("lock_contention", "cpu_contention", "disk_contention", "mixed")
 _ALIASES = {"lock": "lock_contention", "cpu": "cpu_contention",
@@ -50,9 +50,6 @@ class ScenarioSpec:
     workers: int = 3                  # peer threads contending for the lock
     fast_us: float | None = None      # override the fast-span duration
     slowdown: float | None = None     # slow = fast * slowdown
-    lock_syscall: str = "fcntl"
-    disk_syscall: str = "newfstat"
-    irq_thread_name: str = "irq/154-hpd"
     filler_events: int = 24           # counter events per span while running
     jitter: float = 0.015
 
@@ -104,6 +101,9 @@ _GREP_TID, _KW1_TID, _KW2_TID = 9739, 5001, 5002
 _IRQ_LINE = 154
 _SOFTIRQ_BLOCK_VEC = 4
 _DISK_DEV = "sda"
+_LOCK_SYSCALL = "fcntl"
+_DISK_SYSCALL = "newfstat"
+_IRQ_THREAD = "irq/154-hpd"
 
 
 class _Gen:
@@ -194,7 +194,7 @@ class _Gen:
             self.filler(out, _LOCK_CPU, root, t0, prefix, spec.filler_events)
             t = t0 + prefix
             out.append(self.ev(t, _LOCK_CPU, root, EventKind.SYSCALL_ENTRY,
-                               name=spec.lock_syscall))
+                               name=_LOCK_SYSCALL))
             t += run_slices[0]
             for r in range(rounds):
                 peer = peers[r % len(peers)]
@@ -207,7 +207,7 @@ class _Gen:
                 out.append(self.switch(t, _LOCK_CPU, peer, "runnable", root))
                 t += run_slices[r + 1]
             out.append(self.ev(t, _LOCK_CPU, root, EventKind.SYSCALL_EXIT,
-                               name=spec.lock_syscall))
+                               name=_LOCK_SYSCALL))
             t += post
         else:
             prefix = round(total * 0.90)
@@ -228,7 +228,7 @@ class _Gen:
         self.gt_spans.append({
             "span_id": span_id, "label": "slow" if slow else "fast",
             "injected_cause": "lock_contention" if slow else "none",
-            "expected_path": (["apache2", spec.lock_syscall, "apache2#2"]
+            "expected_path": (["apache2", _LOCK_SYSCALL, "apache2#2"]
                               if slow else ["apache2"]),
         })
         return out
@@ -239,7 +239,7 @@ class _Gen:
         self.register(_BOOT_BASE + _CPU_CPU, f"swapper/{_CPU_CPU}")
         self.register(_CPU_FILLER, f"swapper/{_CPU_CPU}")
         self.register(_CPU_ROOT_TID, "ktimersoftd/3")
-        self.register(_IRQ_TID, self.spec.irq_thread_name)
+        self.register(_IRQ_TID, _IRQ_THREAD)
         out = [self.switch(self.now, _CPU_CPU, _BOOT_BASE + _CPU_CPU,
                            "runnable", _IRQ_TID)]
         self.now += 1_000
@@ -299,7 +299,7 @@ class _Gen:
         self.gt_spans.append({
             "span_id": span_id, "label": "slow" if slow else "fast",
             "injected_cause": "cpu_contention" if slow else "none",
-            "expected_path": (["ktimersoftd/3", "CPU", spec.irq_thread_name]
+            "expected_path": (["ktimersoftd/3", "CPU", _IRQ_THREAD]
                               if slow else ["ktimersoftd/3"]),
         })
         return out
@@ -339,7 +339,7 @@ class _Gen:
             self.filler(out, _DISK_CPU, root, t0, prefix, spec.filler_events)
             t1 = t0 + prefix
             out.append(self.ev(t1, _DISK_CPU, root, EventKind.SYSCALL_ENTRY,
-                               name=spec.disk_syscall))
+                               name=_DISK_SYSCALL))
             tb = t1 + eps
             out.append(self.switch(tb, _DISK_CPU, root, "blocked", _DISK_FILLER))
             tw = t1 + in_sys - eps
@@ -354,17 +354,17 @@ class _Gen:
             out.append(self.switch(tw, _DISK_CPU, _DISK_FILLER, "runnable", root))
             t2 = t1 + in_sys
             out.append(self.ev(t2, _DISK_CPU, root, EventKind.SYSCALL_EXIT,
-                               name=spec.disk_syscall))
+                               name=_DISK_SYSCALL))
             t = t2 + post
         else:
             prefix = round(total * 0.45)
             self.filler(out, _DISK_CPU, root, t0, prefix, spec.filler_events)
             t = t0 + prefix
             out.append(self.ev(t, _DISK_CPU, root, EventKind.SYSCALL_ENTRY,
-                               name=spec.disk_syscall))
+                               name=_DISK_SYSCALL))
             t += round(total * 0.10)
             out.append(self.ev(t, _DISK_CPU, root, EventKind.SYSCALL_EXIT,
-                               name=spec.disk_syscall))
+                               name=_DISK_SYSCALL))
             t = t0 + total
         t_end = t0 + total
         out.append(self.ev(t_end, _DISK_CPU, root, EventKind.SPAN_END,
@@ -375,7 +375,7 @@ class _Gen:
         self.gt_spans.append({
             "span_id": span_id, "label": "slow" if slow else "fast",
             "injected_cause": "disk_contention" if slow else "none",
-            "expected_path": (["apache2", spec.disk_syscall, "DISK", "grep"]
+            "expected_path": (["apache2", _DISK_SYSCALL, "DISK", "grep"]
                               if slow else ["apache2"]),
         })
         return out
@@ -458,10 +458,11 @@ def generate(spec: ScenarioSpec) -> tuple[list[TraceEvent], dict]:
 
 def generate_files(spec: ScenarioSpec, trace_path: str | Path,
                    ground_truth_path: str | Path) -> None:
-    """Stream the trace to disk and write the ground-truth JSON."""
+    """Stream the trace to disk (gzipped when its path ends in .gz) and
+    write the ground-truth JSON; each file is replaced atomically."""
     gt: list[dict] = []
     write_trace(iter_events(spec, gt), trace_path)
-    with open(ground_truth_path, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth_dict(spec, gt), fh, ensure_ascii=False,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(ground_truth_dict(spec, gt), ensure_ascii=False,
+                      indent=2, sort_keys=True) + "\n"
+    with atomic_output(ground_truth_path) as fh:
+        fh.write(text.encode("utf-8"))

@@ -59,7 +59,9 @@ def test_synth_gz_round_trips(tmp_path):
     rc = main(["synth", "--scenario", "cpu", "--seed", "3", "--spans", "4",
                "--gz", "--out-dir", str(tmp_path)])
     assert rc == 0
-    events = read_trace(tmp_path / "trace.jsonl.gz")
+    trace = tmp_path / "trace.jsonl.gz"
+    assert trace.read_bytes()[:2] == b"\x1f\x8b"
+    events = read_trace(trace)
     assert len(extract_spans(events).spans) == 4
 
 
@@ -351,6 +353,13 @@ def test_graph_negative_max_depth_exits_2(lock_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds", [("10", "5"), ("7", "7")], ids=["reversed", "empty"])
+def test_inspect_from_not_below_to_exits_2(lock_dir, capsys, bounds):
+    err = _exits_2(["inspect", str(lock_dir / "trace.jsonl"),
+                    "--from", bounds[0], "--to", bounds[1]], capsys)
+    assert "--from" in err
+
+
 @pytest.fixture(scope="module")
 def small_lock_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("small")
@@ -371,4 +380,26 @@ def test_mutated_trace_never_escapes_exit_codes(small_lock_dir, data):
     path.write_bytes(bytes(trace))
     rc = main(["graph", str(path), "--span", "s0000",
                "--out", str(small_lock_dir / "mutated.dot")])
+    assert rc in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def small_report(small_lock_dir) -> bytes:
+    path = small_lock_dir / "report.json"
+    assert main(["cluster", str(small_lock_dir / "trace.jsonl"), "--k", "2",
+                 "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_mutated_report_never_escapes_exit_codes(small_lock_dir, small_report, data):
+    report = bytearray(small_report)
+    positions = st.integers(0, len(report) - 1)
+    for pos, byte in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)),
+                                        min_size=1, max_size=3)):
+        report[pos] = byte
+    path = small_lock_dir / "mutated_report.json"
+    path.write_bytes(bytes(report))
+    rc = main(_compare_argv(small_lock_dir, path, small_lock_dir / "mutated_cmp.dot"))
     assert rc in (0, 2, 3)

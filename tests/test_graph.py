@@ -167,6 +167,46 @@ def test_disk_slow_graph_has_disk_path(disk_fixture):
     assert all(cg.edges[(disk, d)].weight_ns <= wait for d in contenders)
 
 
+def test_disk_slow_graph_edge_names_its_device(disk_fixture):
+    cg = canonicalize(_slow_graph(disk_fixture)[0])
+    edge = cg.edges[(("resource", "DISK"), ("thread", "grep"))]
+    assert edge.devices == frozenset({"sda"})
+
+
+def test_cpu_slow_graph_edge_names_its_cpu(cpu_fixture):
+    cg = canonicalize(_slow_graph(cpu_fixture)[0])
+    edge = cg.edges[(("resource", "CPU"), ("thread", "irq/154-hpd"))]
+    assert edge.devices == frozenset({"cpu1"})
+
+
+def test_disk_wait_served_on_two_devices_merges_overlap():
+    A, B, IDLE = 11, 22, 97
+    events = [
+        switch(0, 98, A, cpu=0),
+        switch(0, 99, B, cpu=1),
+        switch(10, A, IDLE, cpu=0, prev_state="blocked"),
+        # B is served on sdb over [15, 50) and on sda over [30, 70), [75, 85)
+        ev(15, 1, B, EventKind.BLOCK_RQ_ISSUE, dev="sdb"),
+        ev(30, 1, B, EventKind.BLOCK_RQ_ISSUE, dev="sda"),
+        ev(50, 1, B, EventKind.BLOCK_RQ_COMPLETE, dev="sdb"),
+        ev(70, 1, B, EventKind.BLOCK_RQ_COMPLETE, dev="sda"),
+        ev(75, 1, B, EventKind.BLOCK_RQ_ISSUE, dev="sda"),
+        ev(85, 1, B, EventKind.BLOCK_RQ_COMPLETE, dev="sda"),
+        ev(88, 0, IDLE, EventKind.SOFTIRQ_ENTRY, vec=4),
+        ev(90, 0, IDLE, EventKind.SCHED_WAKEUP, waker_tid=IDLE, wakee_tid=A,
+           waker_context="softirq"),
+        ev(90, 0, IDLE, EventKind.SOFTIRQ_EXIT, vec=4),
+        switch(95, IDLE, A, cpu=0),
+    ]
+    g = build_depgraph(build_state_db(events), A, 0, 95)
+    disk = ("resource", "DISK")
+    assert g.edges[(thread_node_id(A, f"w{A}"), disk)].weight_ns == 80
+    edge = g.edges[(disk, thread_node_id(B, f"w{B}"))]
+    assert edge.devices == frozenset({"sda", "sdb"})
+    # [15, 70) and [75, 85) merged: the sda/sdb overlap counts once
+    assert edge.weight_ns == 65
+
+
 def test_scenario_graphs_are_acyclic(lock_fixture, cpu_fixture, disk_fixture):
     for fixture in (lock_fixture, cpu_fixture, disk_fixture):
         for span in fixture["spans"]:
