@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 from . import analysis, graph, states, synth
@@ -165,18 +166,38 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _counter_rows(db, tid: int, counter: str, t_a: int, t_b: int):
+    """(start, end, total) of each counter step intersecting [t_a, t_b),
+    clipped; a step holds until the next one, the last until t_max."""
+    stamps, totals = db.counter_steps(tid, counter)
+    ends = stamps[1:] + [db.t_max]
+    for i in range(max(bisect_right(stamps, t_a) - 1, 0), len(stamps)):
+        if stamps[i] >= t_b:
+            break
+        if ends[i] > t_a:
+            yield max(stamps[i], t_a), min(ends[i], t_b), totals[i]
+
+
 def cmd_inspect(args) -> int:
     db, _ = _load_pipeline(args.trace)
     t_a = args.from_ns if args.from_ns is not None else db.t_min
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
     if t_a >= t_b:
         raise InvalidParameter(f"--from {t_a} must be below --to {t_b}")
+    counter_keys = {f"thread/{tid}/{counter}": (tid, counter)
+                    for tid in db.comms for counter in states.COUNTERS
+                    if db.counter_steps(tid, counter)[0]}
     lines = []
-    for key in db.keys():
+    for key in sorted([*db.keys(), *counter_keys]):
         if args.key and not key.startswith(args.key):
             continue
-        for sv in db.query_range(key, t_a, t_b):
-            lines.append(f"{key}\t[{sv.start}, {sv.end})\t{sv.value}")
+        if key in counter_keys:
+            rows = _counter_rows(db, *counter_keys[key], t_a, t_b)
+        else:
+            rows = ((sv.start, sv.end, sv.value)
+                    for sv in db.query_range(key, t_a, t_b))
+        for start, end, value in rows:
+            lines.append(f"{key}\t[{start}, {end})\t{value}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         _atomic_write(Path(args.out), text)

@@ -21,8 +21,8 @@ import gzip
 import io
 import json
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -251,9 +251,11 @@ def event_to_record(ev: TraceEvent) -> dict:
 @contextmanager
 def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
     """A binary handle on a temporary sibling of path that replaces path
-    when the block ends normally and is deleted when it raises."""
+    when the block ends normally and is deleted when it raises.  Like
+    open(), it creates the file with mode 0o666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -368,8 +368,11 @@ def to_dot(graph: DepGraph, percentages: bool = True,
 
     Node labels carry the total microseconds; edge labels carry the waited
     microseconds and, when enabled, the share of the source node's total.
-    min_edge_us hides (display only) edges below the threshold.
+    min_edge_us hides (display only) edges below the threshold; it raises
+    InvalidParameter when negative.
     """
+    if min_edge_us < 0:
+        raise InvalidParameter(f"min_edge_us must be >= 0, got {min_edge_us}")
     lines = ["digraph waits {", "  rankdir=TB;"]
     for node_id in sorted(graph.nodes, key=node_id_str):
         node = graph.nodes[node_id]

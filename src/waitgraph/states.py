@@ -6,9 +6,6 @@ Events are folded, in a single pass, into half-open interval records
     thread/{tid}/state        ThreadState (running/runnable/interrupted/blocked)
     thread/{tid}/syscall      innermost active syscall name
     thread/{tid}/cpu          CPU index while the thread is running
-    thread/{tid}/pagefaults   cumulative page fault count (step function)
-    thread/{tid}/bytes_read   cumulative bytes read
-    thread/{tid}/bytes_written cumulative bytes written
     cpu/{idx}/current_tid     thread occupying the CPU
     disk/{dev}/active_tid     thread whose request the device is serving
 
@@ -16,12 +13,17 @@ Per key, intervals are disjoint and sorted by start; point queries bisect,
 range queries clip.  Block I/O requests are matched FIFO per device and the
 device is modeled as serving one request at a time, so the active_tid
 intervals of one device never overlap.
+
+The cumulative counters of COUNTERS (page faults, bytes read, bytes
+written) are not intervals: each (tid, counter) is a pair of columns, the
+step timestamps (strictly increasing, all below t_max) and the running
+total from each step on.  ``counter_delta`` bisects them.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -98,10 +100,6 @@ def thread_cpu_key(tid: int) -> str:
     return f"thread/{tid}/cpu"
 
 
-def thread_counter_key(tid: int, counter: str) -> str:
-    return f"thread/{tid}/{counter}"
-
-
 def cpu_current_key(cpu: int) -> str:
     return f"cpu/{cpu}/current_tid"
 
@@ -109,6 +107,18 @@ def cpu_current_key(cpu: int) -> str:
 def disk_active_key(dev: str) -> str:
     return f"disk/{dev}/active_tid"
 
+
+# cumulative per-thread counters, by the event kind that bumps each
+_COUNTER_BY_KIND = {
+    EventKind.PAGE_FAULT: "pagefaults",
+    EventKind.IO_READ: "bytes_read",
+    EventKind.IO_WRITE: "bytes_written",
+}
+COUNTERS = tuple(_COUNTER_BY_KIND.values())
+
+# (step timestamps, cumulative totals) of one thread's counter
+CounterColumns = tuple[list[int], list[int]]
+_NO_STEPS: CounterColumns = ([], [])
 
 # Linux softirq vector numbers for the wake-reason mapping.
 SOFTIRQ_TIMER = 1
@@ -127,9 +137,11 @@ DEFAULT_SOFTIRQ_REASONS = {
 class StateDatabase:
     """Immutable interval store with point and range queries."""
 
-    def __init__(self, intervals: dict[str, list[StateValue]], comms: dict[int, str],
+    def __init__(self, intervals: dict[str, list[StateValue]],
+                 counters: dict[str, dict[int, CounterColumns]], comms: dict[int, str],
                  t_min: int, t_max: int, events_consumed: int):
         self._intervals = intervals
+        self._counters = counters
         self._starts = {k: [sv.start for sv in ivs] for k, ivs in intervals.items()}
         self._disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
         self.comms = comms
@@ -189,13 +201,18 @@ class StateDatabase:
         i = bisect_right(self._starts[key], t - 1) - 1
         return ivs[i].value if i >= 0 else None
 
+    def counter_steps(self, tid: int, counter: str) -> CounterColumns:
+        """The step timestamps and cumulative totals of one thread's counter
+        (empty lists if it never stepped; do not mutate)."""
+        return self._counters[counter].get(tid, _NO_STEPS)
+
     def counter_delta(self, tid: int, counter: str, t_a: int, t_b: int) -> int:
         """Number of counted units in [t_a, t_b) for a cumulative counter."""
         # the count at t is the last step starting before t, 0 before any step
-        key = thread_counter_key(tid, counter)
-        before_b = self.last_value_before(key, t_b)
-        before_a = self.last_value_before(key, t_a)
-        return int(before_b or 0) - int(before_a or 0)
+        stamps, totals = self.counter_steps(tid, counter)
+        i_b = bisect_left(stamps, t_b)
+        i_a = bisect_left(stamps, t_a)
+        return (totals[i_b - 1] if i_b else 0) - (totals[i_a - 1] if i_a else 0)
 
     # -- resource occupancy ------------------------------------------------
 
@@ -231,7 +248,11 @@ class _Builder:
         self.syscall_stack: dict[int, list[str]] = {}
         self.dev_fifo: dict[str, deque[tuple[int, int]]] = {}
         self.dev_last_end: dict[str, int] = {}
-        self.counters: dict[tuple[int, str], int] = {}
+        self.counters: dict[str, dict[int, CounterColumns]] = {
+            c: {} for c in COUNTERS}
+        self._columns_by_kind = {k: self.counters[c]
+                                 for k, c in _COUNTER_BY_KIND.items()}
+        self.known_tids: set[int] = set()  # threads with a state
         self.running_cpu: dict[int, int] = {}  # tid -> cpu while running
         self.t_min: int | None = None
         self.t_max: int = 0
@@ -268,12 +289,13 @@ class _Builder:
         return self.open_value(thread_state_key(tid))  # type: ignore[return-value]
 
     def set_thread_state(self, tid: int, t: int, st: ThreadState) -> None:
+        self.known_tids.add(tid)
         self.set_open(thread_state_key(tid), t, st)
 
     def mark_running(self, tid: int, cpu: int, t: int) -> None:
         """A thread first observed through its own actor event (syscall,
         I/O, counter, span marker) was already executing on that CPU."""
-        if self.thread_state(tid) is not None:
+        if tid in self.known_tids:
             return
         self.set_thread_state(tid, t, RUNNING)
         self.set_open(thread_cpu_key(tid), t, cpu)
@@ -283,9 +305,7 @@ class _Builder:
 
     _ACTOR_KINDS = frozenset((
         EventKind.SYSCALL_ENTRY, EventKind.SYSCALL_EXIT,
-        EventKind.BLOCK_RQ_ISSUE, EventKind.PAGE_FAULT,
-        EventKind.IO_READ, EventKind.IO_WRITE,
-        EventKind.SPAN_BEGIN, EventKind.SPAN_END,
+        EventKind.BLOCK_RQ_ISSUE, EventKind.SPAN_BEGIN, EventKind.SPAN_END,
     ))
 
     def handle(self, ev: TraceEvent) -> None:
@@ -296,6 +316,25 @@ class _Builder:
         if ev.tid not in self.comms:
             self.comms[ev.tid] = ev.comm
         kind = ev.kind
+        columns = self._columns_by_kind.get(kind)
+        if columns is not None:
+            # counter fast path: one step per event, a shared timestamp
+            # keeps only its last total (as zero-length intervals were dropped)
+            tid, ts = ev.tid, ev.ts
+            if tid not in self.known_tids:
+                self.mark_running(tid, ev.cpu, ts)
+            delta = ev.payload["bytes"] if kind is not EventKind.PAGE_FAULT else 1
+            if delta == 0:
+                return
+            col = columns.get(tid)
+            if col is None:
+                columns[tid] = ([ts], [delta])
+            elif col[0][-1] == ts:
+                col[1][-1] += delta
+            else:
+                col[0].append(ts)
+                col[1].append(col[1][-1] + delta)
+            return
         if kind in self._ACTOR_KINDS:
             self.mark_running(ev.tid, ev.cpu, ev.ts)
         if kind is EventKind.SCHED_SWITCH:
@@ -328,20 +367,7 @@ class _Builder:
             self.dev_fifo.setdefault(ev.payload["dev"], deque()).append((ev.tid, ev.ts))
         elif kind is EventKind.BLOCK_RQ_COMPLETE:
             self._on_rq_complete(ev)
-        elif kind is EventKind.PAGE_FAULT:
-            self._bump_counter(ev.tid, "pagefaults", 1, ev.ts)
-        elif kind is EventKind.IO_READ:
-            self._bump_counter(ev.tid, "bytes_read", ev.payload["bytes"], ev.ts)
-        elif kind is EventKind.IO_WRITE:
-            self._bump_counter(ev.tid, "bytes_written", ev.payload["bytes"], ev.ts)
         # span_begin / span_end carry no state.
-
-    def _bump_counter(self, tid: int, counter: str, delta: int, t: int) -> None:
-        if delta == 0:
-            return
-        total = self.counters.get((tid, counter), 0) + delta
-        self.counters[(tid, counter)] = total
-        self.set_open(thread_counter_key(tid, counter), t, total)
 
     def _on_switch(self, ev: TraceEvent) -> None:
         t, cpu = ev.ts, ev.cpu
@@ -398,7 +424,7 @@ class _Builder:
             self.replace_open_value(key, self._wake_reason(ev))
             self.set_open(key, ev.ts, RUNNABLE)
         elif cur is None:
-            self.set_open(key, ev.ts, RUNNABLE)
+            self.set_thread_state(wakee, ev.ts, RUNNABLE)
         # already runnable/running: spurious wake, no transition
 
     def _on_irq_entry(self, ev: TraceEvent) -> None:
@@ -450,7 +476,15 @@ class _Builder:
         end = self.t_max
         for key in sorted(self.open):
             self.close_open(key, end)
-        return StateDatabase(self.intervals, self.comms,
+        for columns in self.counters.values():
+            for tid, (stamps, totals) in list(columns.items()):
+                # a step at t_max would hold for zero time
+                if stamps[-1] == end:
+                    stamps.pop()
+                    totals.pop()
+                    if not stamps:
+                        del columns[tid]
+        return StateDatabase(self.intervals, self.counters, self.comms,
                              self.t_min if self.t_min is not None else 0,
                              end, self.count)
 
@@ -470,7 +504,8 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
       - syscall entry/exit: thread/{tid}/syscall holds the innermost name.
       - block_rq_issue/complete: FIFO-matched per device into
         disk/{dev}/active_tid service intervals.
-      - page_fault / io_read / io_write: cumulative step-function counters.
+      - page_fault / io_read / io_write: cumulative step-function counters,
+        stored as per-thread columns (StateDatabase.counter_steps).
     """
     builder = _Builder()
     handle = builder.handle

@@ -279,6 +279,35 @@ def scan_span_features(events, span) -> dict[str, float]:
     return feats
 
 
+def counter_lines_by_scan(events, t_a: int, t_b: int) -> list[str]:
+    """The `inspect` lines of every cumulative counter clipped to [t_a, t_b),
+    re-derived from the raw events.
+
+    A counter steps at each distinct timestamp with a non-zero bump below
+    the last event's timestamp and holds the sum of all bumps up to that
+    instant until its next step, or until the last event.
+    """
+    from waitgraph.events import EventKind
+
+    names = {EventKind.PAGE_FAULT: "pagefaults", EventKind.IO_READ: "bytes_read",
+             EventKind.IO_WRITE: "bytes_written"}
+    t_max = max(ev.ts for ev in events)
+    bumps: dict[str, list[tuple[int, int]]] = {}
+    for ev in events:
+        if ev.kind in names:
+            n = 1 if ev.kind is EventKind.PAGE_FAULT else ev.payload["bytes"]
+            bumps.setdefault(f"thread/{ev.tid}/{names[ev.kind]}", []).append((ev.ts, n))
+    lines = []
+    for key in sorted(bumps):
+        stamps = sorted({ts for ts, n in bumps[key] if n and ts < t_max})
+        for start, end in zip(stamps, stamps[1:] + [t_max]):
+            total = sum(n for ts, n in bumps[key] if ts <= start)
+            s, e = max(start, t_a), min(end, t_b)
+            if s < e:
+                lines.append(f"{key}\t[{s}, {e})\t{total}")
+    return lines
+
+
 def lloyd_reference(points, k: int, seed: int, max_iter: int = 100):
     """Textbook Lloyd iteration with the same farthest-point seeding."""
     n = len(points)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waitgraph.analysis import representative
+from waitgraph.analysis import extract_features, representative
 from waitgraph.cli import main
 from waitgraph.graph import build_span_graph, canonicalize
-from waitgraph.states import build_state_db
-from waitgraph.events import extract_spans, read_trace
+from waitgraph.states import COUNTERS, build_state_db
+from waitgraph.events import EventKind, extract_spans, read_trace
 from conftest import SRC
+from oracles import counter_lines_by_scan
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +228,63 @@ def test_inspect_deterministic_output(lock_dir, tmp_path):
     assert "thread/10000/state" in a.read_text()
 
 
+def _counter_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines()
+            if line.split("\t")[0].endswith(COUNTERS)]
+
+
+def test_inspect_counter_lines_match_event_scan(lock_dir, capsys):
+    trace = str(lock_dir / "trace.jsonl")
+    events = read_trace(trace)
+    t_max = events[-1].ts
+    assert main(["inspect", trace, "--key", "thread/"]) == 0
+    full = _counter_lines(capsys.readouterr().out)
+    assert full and full == counter_lines_by_scan(events, 0, t_max + 1)
+    # a window whose bounds both fall strictly inside counter steps
+    stamps = sorted({ev.ts for ev in events if ev.kind is EventKind.PAGE_FAULT})
+    t_a, t_b = stamps[10] + 1, stamps[-10] + 1
+    assert main(["inspect", trace, "--key", "thread/",
+                 "--from", str(t_a), "--to", str(t_b)]) == 0
+    window = _counter_lines(capsys.readouterr().out)
+    assert window == counter_lines_by_scan(events, t_a, t_b)
+    assert any(f"[{t_a}, " in line for line in window)
+    assert any(f", {t_b})" in line for line in window)
+
+
+def test_counters_beyond_int64(tmp_path, capsys):
+    big = 2 ** 64
+    records = [
+        {"kind": "span_begin", "span_id": "s0", "ts": big},
+        {"kind": "io_read", "bytes": big, "ts": big + 1},
+        {"kind": "span_end", "span_id": "s0", "ts": big + 2},
+        {"kind": "page_fault", "ts": big + 3},
+    ]
+    trace = tmp_path / "big.jsonl"
+    trace.write_text("".join(
+        json.dumps({"cpu": 0, "tid": 5, "comm": "w", **rec}) + "\n"
+        for rec in records))
+    events = read_trace(trace)
+    span, = extract_spans(events).spans
+    assert extract_features(build_state_db(events), span).bytes_read == big
+    assert main(["inspect", str(trace), "--key", "thread/5/bytes_read"]) == 0
+    assert capsys.readouterr().out == \
+        f"thread/5/bytes_read\t[{big + 1}, {big + 3})\t{big}\n"
+
+
+def test_outputs_follow_the_umask(lock_dir, tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["synth", "--scenario", "lock", "--seed", "1", "--spans", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        out = tmp_path / "g.dot"
+        assert main(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "trace.jsonl", tmp_path / "ground_truth.json", out):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
+
 def test_module_entry_point_runs(tmp_path):
     env = {"PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -350,6 +410,14 @@ def test_graph_negative_max_depth_exits_2(lock_dir, tmp_path, capsys):
     err = _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
                     "--max-depth", "-1", "--out", str(out)], capsys)
     assert "max_depth" in err
+    assert not out.exists()
+
+
+def test_graph_negative_min_edge_us_exits_2(lock_dir, tmp_path, capsys):
+    out = tmp_path / "x.dot"
+    err = _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
+                    "--min-edge-us", "-1", "--out", str(out)], capsys)
+    assert "min_edge_us" in err
     assert not out.exists()
 
 

@@ -6,11 +6,14 @@ from waitgraph.errors import NestingViolation, SwitchConflict
 from waitgraph.events import EventKind, TraceEvent
 from waitgraph.graph import merged_span_total
 from waitgraph.states import (
+    COUNTERS,
     BlockReason,
     StateKind,
     StateValue,
     ThreadState,
     build_state_db,
+    cpu_current_key,
+    thread_cpu_key,
     thread_state_key,
     thread_syscall_key,
 )
@@ -263,12 +266,65 @@ def test_counters_are_cumulative_step_functions():
         switch(100, A, 99, prev_state="runnable"),
     ]
     db = build_state_db(events)
-    assert db.query_at("thread/11/bytes_read", 15) == 100
-    assert db.query_at("thread/11/bytes_read", 25) == 150
+    assert db.counter_steps(A, "bytes_read") == ([10, 20], [100, 150])
+    assert db.counter_steps(A, "pagefaults") == ([30], [1])
+    assert db.counter_steps(A, "bytes_written") == ([], [])
     assert db.counter_delta(A, "bytes_read", 0, 100) == 150
     assert db.counter_delta(A, "bytes_read", 15, 100) == 50
     assert db.counter_delta(A, "pagefaults", 0, 100) == 1
     assert db.counter_delta(A, "pagefaults", 31, 100) == 0
+
+
+def test_counter_bumps_at_one_timestamp_keep_the_last_total():
+    events = [
+        switch(0, 99, A),
+        ev(10, 0, A, EventKind.IO_READ, bytes=100),
+        ev(10, 0, A, EventKind.IO_READ, bytes=50),
+        ev(10, 0, A, EventKind.IO_READ, bytes=0),
+        switch(100, A, 99, prev_state="runnable"),
+    ]
+    db = build_state_db(events)
+    assert db.counter_steps(A, "bytes_read") == ([10], [150])
+    assert db.counter_delta(A, "bytes_read", 0, 11) == 150
+    assert db.counter_delta(A, "bytes_read", 0, 10) == 0
+    assert db.counter_delta(A, "bytes_read", 10, 100) == 150
+    assert db.counter_delta(A, "bytes_read", 11, 100) == 0
+
+
+def test_counter_step_at_t_max_is_invisible():
+    events = [
+        switch(0, 99, A),
+        ev(10, 0, A, EventKind.IO_WRITE, bytes=7),
+        ev(100, 0, A, EventKind.IO_WRITE, bytes=5),
+        ev(100, 0, A, EventKind.PAGE_FAULT),
+    ]
+    db = build_state_db(events)
+    assert db.t_max == 100
+    assert db.counter_steps(A, "bytes_written") == ([10], [7])
+    assert db.counter_steps(A, "pagefaults") == ([], [])
+    assert db.counter_delta(A, "bytes_written", 0, 1000) == 7
+    assert db.counter_delta(A, "pagefaults", 0, 1000) == 0
+
+
+def test_thread_first_seen_by_page_fault_runs_on_that_cpu():
+    events = [
+        switch(0, 99, B, cpu=0),
+        ev(5, 2, A, EventKind.PAGE_FAULT),
+        ev(8, 2, A, EventKind.PAGE_FAULT),
+        switch(20, A, 44, cpu=2),
+    ]
+    db = build_state_db(events)
+    assert db.intervals(thread_state_key(A)) == [
+        StateValue(5, 20, thread_state_key(A), ThreadState(StateKind.RUNNING))]
+    assert db.query_at(thread_cpu_key(A), 5) == 2
+    assert db.query_at(cpu_current_key(2), 5) == A
+    assert db.counter_steps(A, "pagefaults") == ([5, 8], [1, 2])
+
+
+def test_counters_are_not_interval_keys(lock_fixture):
+    db = lock_fixture["db"]
+    assert not [k for k in db.keys() if k.endswith(COUNTERS)]
+    assert any(db.counter_steps(tid, "pagefaults")[0] for tid in db.comms)
 
 
 def test_single_pass_counter():
