@@ -27,7 +27,8 @@ from .errors import (
     UnknownEventKind,
     UnmatchedEnd,
 )
-from .events import atomic_output, extract_spans, read_trace
+from .events import EventKind, atomic_output, extract_spans, iter_trace
+from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up here)
 
 # bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
 _INPUT_ERRORS = (InvalidParameter, TooFewSpans, MalformedRecord,
@@ -55,10 +56,18 @@ def _json_text(obj) -> str:
 
 
 def _load_pipeline(trace_path: str):
-    events = read_trace(trace_path)
-    db = states.build_state_db(events)
-    extraction = extract_spans(events)
-    return db, extraction
+    """Fold the trace into the state DB in one streaming pass, keeping only
+    the span markers for extract_spans."""
+    markers = []
+
+    def events():
+        for ev in iter_trace(trace_path):
+            if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END):
+                markers.append(ev)
+            yield ev
+
+    db = states.build_state_db(events())
+    return db, extract_spans(markers)
 
 
 def cmd_synth(args) -> int:
@@ -179,7 +188,7 @@ def _counter_rows(db, tid: int, counter: str, t_a: int, t_b: int):
 
 
 def cmd_inspect(args) -> int:
-    db, _ = _load_pipeline(args.trace)
+    db = states.build_state_db(iter_trace(args.trace))
     t_a = args.from_ns if args.from_ns is not None else db.t_min
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
     if t_a >= t_b:

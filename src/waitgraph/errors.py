@@ -32,13 +32,8 @@ class NonMonotonicTimestamp(TraceAnalysisError):
 
 class NestingViolation(TraceAnalysisError):
     """Entry/exit events of one family do not nest (exit without entry, or
-    mismatched exit)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    mismatched exit): syscalls per thread, interrupts per CPU, block
+    requests per device."""
 
 
 class SwitchConflict(TraceAnalysisError):

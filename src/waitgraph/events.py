@@ -31,7 +31,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
     MalformedRecord,
-    NestingViolation,
     NonMonotonicTimestamp,
     OverlappingSpan,
     UnknownEventKind,
@@ -106,16 +105,6 @@ PAYLOAD_FIELDS: dict[EventKind, tuple[tuple[str, Callable[[object], bool]], ...]
 }
 
 _KIND_BY_VALUE = {k.value: k for k in EventKind}
-
-# entry kind -> (exit kind, payload key identifying the nesting token)
-_NESTING_FAMILIES: dict[EventKind, tuple[EventKind, str | None]] = {
-    EventKind.SYSCALL_ENTRY: (EventKind.SYSCALL_EXIT, "name"),
-    EventKind.IRQ_ENTRY: (EventKind.IRQ_EXIT, "irq"),
-    EventKind.SOFTIRQ_ENTRY: (EventKind.SOFTIRQ_EXIT, "vec"),
-    EventKind.HRTIMER_EXPIRE_ENTRY: (EventKind.HRTIMER_EXPIRE_EXIT, None),
-}
-_EXIT_TO_ENTRY = {ex: (en, tok) for en, (ex, tok) in _NESTING_FAMILIES.items()}
-
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
@@ -223,9 +212,10 @@ def read_trace(source) -> list[TraceEvent]:
     """Parse a JSONL trace into timestamp-ordered events.
 
     *source* may be a path, raw bytes, or a seekable binary file object.
-    Raises MalformedRecord (also for bytes that are not UTF-8) /
-    UnknownEventKind / NonMonotonicTimestamp / NestingViolation with the
-    offending 1-based line number.
+    Each record is checked on its own (JSON, fields, kind, UTF-8) and
+    against its predecessor's timestamp; MalformedRecord, UnknownEventKind
+    and NonMonotonicTimestamp carry the offending 1-based line number.
+    Entry/exit nesting is checked by the state-DB fold, not here.
     """
     # pause the cycle collector while allocating millions of records; the
     # event graph is acyclic so the pause only avoids wasted full-heap scans
@@ -317,12 +307,9 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
 
 
 def iter_trace(source) -> Iterator[TraceEvent]:
-    """Streaming variant of read_trace (same validation, constant memory)."""
+    """Streaming variant of read_trace (same record checks, constant memory)."""
     stream, owns = _open_stream(source)
     prev_ts = -1
-    stacks: dict[int, list[tuple[EventKind, object]]] = {}
-    entry_families = _NESTING_FAMILIES
-    exit_families = _EXIT_TO_ENTRY
     parse = _parse_line
     lineno = 0
     try:
@@ -334,20 +321,6 @@ def iter_trace(source) -> Iterator[TraceEvent]:
             if ev.ts < prev_ts:
                 raise NonMonotonicTimestamp(lineno, ev.ts, prev_ts)
             prev_ts = ev.ts
-            kind = ev.kind
-            if kind in entry_families:
-                tok_key = entry_families[kind][1]
-                tok = ev.payload[tok_key] if tok_key else None
-                stacks.setdefault(ev.tid, []).append((kind, tok))
-            elif kind in exit_families:
-                entry_kind, tok_key = exit_families[kind]
-                tok = ev.payload[tok_key] if tok_key else None
-                stack = stacks.get(ev.tid) or []
-                if not stack or stack[-1] != (entry_kind, tok):
-                    raise NestingViolation(
-                        f"{kind.value} for tid {ev.tid} does not match an open entry",
-                        line=lineno)
-                stack.pop()
             yield ev
     except UnicodeDecodeError as exc:
         # the text layer decodes a whole chunk at once; the newlines in

@@ -116,6 +116,22 @@ _COUNTER_BY_KIND = {
 }
 COUNTERS = tuple(_COUNTER_BY_KIND.values())
 
+# interrupt entry/exit kind -> (nesting family, payload key of its token)
+_IRQ_FAMILY = {
+    EventKind.IRQ_ENTRY: ("irq", "irq"),
+    EventKind.IRQ_EXIT: ("irq", "irq"),
+    EventKind.SOFTIRQ_ENTRY: ("softirq", "vec"),
+    EventKind.SOFTIRQ_EXIT: ("softirq", "vec"),
+    EventKind.HRTIMER_EXPIRE_ENTRY: ("hrtimer", None),
+    EventKind.HRTIMER_EXPIRE_EXIT: ("hrtimer", None),
+}
+
+
+def _irq_frame(ev: TraceEvent) -> tuple[str, int | None]:
+    family, token_key = _IRQ_FAMILY[ev.kind]
+    return family, ev.payload[token_key] if token_key else None
+
+
 # (step timestamps, cumulative totals) of one thread's counter
 CounterColumns = tuple[list[int], list[int]]
 _NO_STEPS: CounterColumns = ([], [])
@@ -253,7 +269,6 @@ class _Builder:
         self._columns_by_kind = {k: self.counters[c]
                                  for k, c in _COUNTER_BY_KIND.items()}
         self.known_tids: set[int] = set()  # threads with a state
-        self.running_cpu: dict[int, int] = {}  # tid -> cpu while running
         self.t_min: int | None = None
         self.t_max: int = 0
         self.count = 0
@@ -299,7 +314,6 @@ class _Builder:
             return
         self.set_thread_state(tid, t, RUNNING)
         self.set_open(thread_cpu_key(tid), t, cpu)
-        self.running_cpu[tid] = cpu
         if self.open_value(cpu_current_key(cpu)) is None:
             self.set_open(cpu_current_key(cpu), t, tid)
 
@@ -357,7 +371,8 @@ class _Builder:
             stack = self.syscall_stack.get(ev.tid)
             if not stack or stack[-1] != ev.payload["name"]:
                 raise NestingViolation(
-                    f"syscall_exit({ev.payload['name']}) without entry for tid {ev.tid}")
+                    f"ts={ev.ts}: syscall_exit({ev.payload['name']}) on tid {ev.tid} "
+                    "does not match an open entry")
             stack.pop()
             if stack:
                 self.set_open(thread_syscall_key(ev.tid), ev.ts, stack[-1])
@@ -380,17 +395,16 @@ class _Builder:
         nxt_state = self.thread_state(nxt)
         if nxt_state is not None and nxt_state.kind is StateKind.RUNNING:
             raise SwitchConflict(
-                f"ts={t}: tid {nxt} already running on cpu {self.running_cpu.get(nxt)}")
+                f"ts={t}: tid {nxt} already running on cpu "
+                f"{self.open_value(thread_cpu_key(nxt))}")
         if ev.payload["prev_state"] == "blocked":
             out_state = ThreadState(StateKind.BLOCKED, BlockReason.UNKNOWN, None)
         else:
             out_state = RUNNABLE
         self.set_thread_state(prev, t, out_state)
         self.close_open(thread_cpu_key(prev), t)
-        self.running_cpu.pop(prev, None)
         self.set_thread_state(nxt, t, RUNNING)
         self.set_open(thread_cpu_key(nxt), t, cpu)
-        self.running_cpu[nxt] = cpu
         self.set_open(cpu_key, t, nxt)
 
     def _wake_reason(self, ev: TraceEvent) -> ThreadState:
@@ -429,12 +443,7 @@ class _Builder:
 
     def _on_irq_entry(self, ev: TraceEvent) -> None:
         stack = self.irq_stack.setdefault(ev.cpu, [])
-        if ev.kind is EventKind.IRQ_ENTRY:
-            stack.append(("irq", ev.payload["irq"]))
-        elif ev.kind is EventKind.SOFTIRQ_ENTRY:
-            stack.append(("softirq", ev.payload["vec"]))
-        else:
-            stack.append(("hrtimer", None))
+        stack.append(_irq_frame(ev))
         if len(stack) == 1:
             occupant = self.open_value(cpu_current_key(ev.cpu))
             if occupant is not None:
@@ -443,14 +452,10 @@ class _Builder:
                     self.set_thread_state(int(occupant), ev.ts, INTERRUPTED)
 
     def _on_irq_exit(self, ev: TraceEvent) -> None:
-        fam = {"irq_exit": "irq", "softirq_exit": "softirq",
-               "hrtimer_expire_exit": "hrtimer"}[ev.kind.value]
-        token = ev.payload.get("irq") if fam == "irq" else (
-            ev.payload.get("vec") if fam == "softirq" else None)
-        stack = self.irq_stack.get(ev.cpu, [])
-        if not stack or stack[-1] != (fam, token):
+        stack = self.irq_stack.get(ev.cpu)
+        if not stack or stack[-1] != _irq_frame(ev):
             raise NestingViolation(
-                f"{ev.kind.value} on cpu {ev.cpu} does not match an open entry")
+                f"ts={ev.ts}: {ev.kind.value} on cpu {ev.cpu} does not match an open entry")
         stack.pop()
         if not stack:
             occupant = self.open_value(cpu_current_key(ev.cpu))
@@ -463,7 +468,8 @@ class _Builder:
         dev = ev.payload["dev"]
         fifo = self.dev_fifo.get(dev)
         if not fifo:
-            raise NestingViolation(f"block_rq_complete on {dev} without an issue")
+            raise NestingViolation(
+                f"ts={ev.ts}: block_rq_complete on dev {dev} without an issue")
         tid, issued = fifo.popleft()
         service_start = max(issued, self.dev_last_end.get(dev, 0))
         if service_start < ev.ts:
@@ -506,6 +512,11 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
         disk/{dev}/active_tid service intervals.
       - page_fault / io_read / io_write: cumulative step-function counters,
         stored as per-thread columns (StateDatabase.counter_steps).
+
+    This fold is the one nesting check: NestingViolation (naming ts=) for
+    an exit that does not match the innermost open entry of its family,
+    syscalls per tid and irq/softirq/hrtimer per CPU, or a block
+    completion with no issue pending on its device.
     """
     builder = _Builder()
     handle = builder.handle

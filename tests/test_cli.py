@@ -428,6 +428,31 @@ def test_inspect_from_not_below_to_exits_2(lock_dir, capsys, bounds):
     assert "--from" in err
 
 
+def _jsonl(tmp_path: Path, *records: dict) -> Path:
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(
+        json.dumps({"cpu": 0, "tid": 1, "comm": "w", **rec}) + "\n"
+        for rec in records))
+    return trace
+
+
+def test_inspect_ignores_unmatched_span_markers(tmp_path, capsys):
+    trace = _jsonl(tmp_path, {"ts": 1, "kind": "page_fault"},
+                   {"ts": 2, "kind": "span_end", "span_id": "x"},
+                   {"ts": 3, "kind": "page_fault"})
+    assert main(["inspect", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "thread/1/state\t[1, 3)\trunning\n" in out
+    assert "thread/1/pagefaults\t[1, 3)\t1\n" in out
+
+
+def test_orphan_syscall_exit_exits_2_with_ts(tmp_path, capsys):
+    trace = _jsonl(tmp_path, {"ts": 5, "kind": "syscall_exit", "name": "read"})
+    err = _exits_2(["graph", str(trace), "--span", "s0000",
+                    "--out", str(tmp_path / "x.dot")], capsys)
+    assert "ts=5" in err and "tid 1" in err
+
+
 @pytest.fixture(scope="module")
 def small_lock_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("small")
@@ -436,18 +461,30 @@ def small_lock_dir(tmp_path_factory) -> Path:
     return out
 
 
+@pytest.fixture(scope="module")
+def small_mixed_dir(tmp_path_factory) -> Path:
+    # lock, cpu and disk spans: the irq, softirq and hrtimer families nest here
+    out = tmp_path_factory.mktemp("small_mixed")
+    assert main(["synth", "--scenario", "mixed", "--seed", "3", "--spans", "6",
+                 "--filler-events", "0", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("scenario", ["lock", "mixed"])
 @given(data=st.data())
 @settings(max_examples=40, derandomize=True, deadline=None)
-def test_mutated_trace_never_escapes_exit_codes(small_lock_dir, data):
-    trace = bytearray((small_lock_dir / "trace.jsonl").read_bytes())
+def test_mutated_trace_never_escapes_exit_codes(small_lock_dir, small_mixed_dir,
+                                                scenario, data):
+    out = small_lock_dir if scenario == "lock" else small_mixed_dir
+    trace = bytearray((out / "trace.jsonl").read_bytes())
     positions = st.integers(0, len(trace) - 1)
     for pos, byte in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)),
                                         min_size=1, max_size=3)):
         trace[pos] = byte
-    path = small_lock_dir / "mutated.jsonl"
+    path = out / "mutated.jsonl"
     path.write_bytes(bytes(trace))
     rc = main(["graph", str(path), "--span", "s0000",
-               "--out", str(small_lock_dir / "mutated.dot")])
+               "--out", str(out / "mutated.dot")])
     assert rc in (0, 2, 3)
 
 

@@ -18,8 +18,15 @@ from waitgraph.events import (
     EventKind,
     TraceEvent,
     extract_spans,
+    iter_trace,
     read_trace,
     write_trace,
+)
+from waitgraph.states import (
+    StateKind,
+    build_state_db,
+    thread_state_key,
+    thread_syscall_key,
 )
 from randtrace import random_trace
 
@@ -106,11 +113,14 @@ def test_unknown_extra_keys_ignored():
     assert ev.payload == {}
 
 
+# Nesting is checked by the state-DB fold; the reader accepts each record.
+
 def test_exit_without_entry_is_nesting_violation():
     lines = [_line(ts=1, cpu=0, tid=1, comm="x", kind="syscall_exit", name="read")]
+    assert len(read_trace(_as_bytes(*lines))) == 1
     with pytest.raises(NestingViolation) as exc:
-        read_trace(_as_bytes(*lines))
-    assert exc.value.line == 1
+        build_state_db(iter_trace(_as_bytes(*lines)))
+    assert "ts=1" in str(exc.value) and "tid 1" in str(exc.value)
 
 
 def test_mismatched_exit_name_is_nesting_violation():
@@ -118,8 +128,9 @@ def test_mismatched_exit_name_is_nesting_violation():
         _line(ts=1, cpu=0, tid=1, comm="x", kind="syscall_entry", name="read"),
         _line(ts=2, cpu=0, tid=1, comm="x", kind="syscall_exit", name="write"),
     ]
-    with pytest.raises(NestingViolation):
-        read_trace(_as_bytes(*lines))
+    with pytest.raises(NestingViolation) as exc:
+        build_state_db(iter_trace(_as_bytes(*lines)))
+    assert "ts=2" in str(exc.value) and "syscall_exit(write)" in str(exc.value)
 
 
 def test_nesting_is_per_tid():
@@ -130,6 +141,41 @@ def test_nesting_is_per_tid():
         _line(ts=4, cpu=0, tid=1, comm="x", kind="syscall_exit", name="read"),
     ]
     assert len(read_trace(_as_bytes(*lines))) == 4
+    db = build_state_db(iter_trace(_as_bytes(*lines)))
+    assert [(sv.start, sv.end, sv.value) for sv in db.intervals(thread_syscall_key(1))] \
+        == [(1, 4, "read")]
+    assert [(sv.start, sv.end, sv.value) for sv in db.intervals(thread_syscall_key(2))] \
+        == [(2, 3, "write")]
+
+
+def _irq(ts, kind, tid, cpu=0, **payload):
+    return _line(ts=ts, cpu=cpu, tid=tid, comm="x", kind=kind, **payload)
+
+
+def test_interrupt_nesting_is_per_cpu_not_per_tid():
+    # each interrupt record names whichever thread the tracer attributed it to
+    lines = [
+        _switch(0, 9, 1),
+        _irq(10, "irq_entry", 1, irq=5),
+        _irq(12, "softirq_entry", 2, vec=4),
+        _irq(14, "softirq_exit", 3, vec=4),
+        _irq(20, "irq_exit", 2, irq=5),
+        _switch(30, 1, 9),
+    ]
+    db = build_state_db(iter_trace(_as_bytes(*lines)))
+    assert [(sv.start, sv.end, sv.value.kind)
+            for sv in db.intervals(thread_state_key(1))] == [
+        (0, 10, StateKind.RUNNING), (10, 20, StateKind.INTERRUPTED),
+        (20, 30, StateKind.RUNNING)]
+
+
+def test_interrupt_exit_on_another_cpu_is_nesting_violation():
+    lines = [_irq(10, "irq_entry", 1, cpu=0, irq=5),
+             _irq(20, "irq_exit", 1, cpu=1, irq=5)]
+    assert len(read_trace(_as_bytes(*lines))) == 2
+    with pytest.raises(NestingViolation) as exc:
+        build_state_db(iter_trace(_as_bytes(*lines)))
+    assert "ts=20" in str(exc.value) and "irq_exit on cpu 1" in str(exc.value)
 
 
 def test_gzip_detected_by_magic():

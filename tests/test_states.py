@@ -205,7 +205,18 @@ def test_thread_on_two_cpus_conflict():
 
 def test_rq_complete_without_issue_raises():
     events = [ev(5, 0, A, EventKind.BLOCK_RQ_COMPLETE, dev="sda")]
-    with pytest.raises(NestingViolation):
+    with pytest.raises(NestingViolation, match="ts=5: block_rq_complete on dev sda"):
+        build_state_db(events)
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (EventKind.IRQ_EXIT, {"irq": 6}),
+    (EventKind.SOFTIRQ_EXIT, {"vec": 5}),
+    (EventKind.HRTIMER_EXPIRE_EXIT, {}),
+], ids=["other_line", "softirq", "hrtimer"])
+def test_interrupt_exit_must_match_the_innermost_entry_on_its_cpu(kind, payload):
+    events = [ev(10, 0, A, EventKind.IRQ_ENTRY, irq=5), ev(20, 0, A, kind, **payload)]
+    with pytest.raises(NestingViolation, match=f"ts=20: {kind.value} on cpu 0"):
         build_state_db(events)
 
 

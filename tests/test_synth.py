@@ -43,8 +43,8 @@ def test_different_seeds_differ():
 def test_generated_traces_pass_validation(scenario):
     spec = ScenarioSpec(scenario, seed=13, n_spans=10)
     raw = _trace_bytes(spec)
-    events = read_trace(raw)          # reader validation incl. nesting
-    build_state_db(events)            # state machine accepts the stream
+    events = read_trace(raw)          # reader validation of each record
+    build_state_db(events)            # the fold accepts the nesting
     extraction = extract_spans(events)
     assert len(extraction.spans) == 10
     assert not extraction.open_spans
