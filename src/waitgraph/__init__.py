@@ -25,6 +25,7 @@ from .analysis import (
 )
 from .errors import (
     EmptyCluster,
+    EmptySpan,
     InvalidParameter,
     MalformedRecord,
     NestingViolation,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import analysis, graph, states, synth
 from .errors import (
+    EmptySpan,
     InvalidParameter,
     MalformedRecord,
     NestingViolation,
@@ -33,7 +34,8 @@ from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up h
 # bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
 _INPUT_ERRORS = (InvalidParameter, TooFewSpans, MalformedRecord,
                  UnknownEventKind, NonMonotonicTimestamp, NestingViolation,
-                 SwitchConflict, UnmatchedEnd, OverlappingSpan, OSError)
+                 SwitchConflict, UnmatchedEnd, OverlappingSpan, EmptySpan,
+                 OSError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2

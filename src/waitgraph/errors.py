@@ -49,6 +49,10 @@ class OverlappingSpan(TraceAnalysisError):
     """A span begin delimiter re-opened a span id that is still open."""
 
 
+class EmptySpan(TraceAnalysisError):
+    """A span ends at or before the timestamp it began at."""
+
+
 class RootConflict(TraceAnalysisError):
     """``representative`` was given graphs with different roots (one
     cluster mixes spans whose root threads differ)."""

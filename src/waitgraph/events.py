@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
+    EmptySpan,
     MalformedRecord,
     NonMonotonicTimestamp,
     OverlappingSpan,
@@ -106,9 +107,19 @@ PAYLOAD_FIELDS: dict[EventKind, tuple[tuple[str, Callable[[object], bool]], ...]
 
 _KIND_BY_VALUE = {k.value: k for k in EventKind}
 
-@dataclass(frozen=True, slots=True)
+# the C scanner json.loads itself runs, called without its wrapper
+_scan_once = json.JSONDecoder().scan_once
+
+
+@dataclass(slots=True)
 class TraceEvent:
-    """One timestamped kernel-style event."""
+    """One timestamped kernel-style event.
+
+    Read-only by convention: nothing in the package assigns to a field
+    after construction.  The dataclass is not frozen because a frozen
+    __init__ sets each field through object.__setattr__, which made
+    building an event about three times as slow.
+    """
 
     ts: int
     cpu: int
@@ -129,7 +140,8 @@ class ExecutionSpan:
 
     def __post_init__(self):
         if self.t_start >= self.t_end:
-            raise ValueError(f"span {self.span_id}: t_start >= t_end")
+            raise EmptySpan(f"span {self.span_id!r} ends at ts={self.t_end}, "
+                            f"not after its begin at ts={self.t_start}")
 
     @property
     def duration_ns(self) -> int:
@@ -170,10 +182,20 @@ def _open_stream(source) -> tuple[io.TextIOBase, bool]:
 
 
 def _parse_line(line: str, lineno: int) -> TraceEvent:
+    # Fast path: the scanner's value counts only when it ends exactly at the
+    # line's newline.  Anything else (a decode error, leading whitespace or
+    # BOM, trailing data or blanks, no final newline) goes through json.loads,
+    # so every accepted record and every error is json.loads's own.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
+        obj, end = _scan_once(line, 0)
+        exact = line[end:] == "\n"
+    except (StopIteration, json.JSONDecodeError):
+        exact = False
+    if not exact:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
     if type(obj) is not dict:
         raise MalformedRecord(lineno, "record is not a JSON object")
     # hot path: grab and type-check the required fields without indirection
@@ -282,7 +304,8 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     A span is keyed by its span_id and rooted at the begin event's thread.
     Completed spans come back in begin order; begins that never close are
     reported separately as open spans.  Raises UnmatchedEnd for an end with
-    no open begin and OverlappingSpan when a span id is re-opened.
+    no open begin, OverlappingSpan when a span id is re-opened and EmptySpan
+    for an end at or before its begin's timestamp.
     """
     open_by_key: dict[str, OpenSpan] = {}
     order: list[str] = []

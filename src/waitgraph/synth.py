@@ -21,6 +21,7 @@ so measured shares land within a couple of percent of the targets.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,10 +68,11 @@ class ScenarioSpec:
             raise InvalidParameter("filler_events must be >= 0")
         if not 0.0 <= self.jitter <= 0.05:
             raise InvalidParameter("jitter must be within [0, 0.05]")
-        if self.slowdown is not None and self.slowdown <= 1.0:
-            raise InvalidParameter("slowdown must be > 1")
-        if self.fast_us is not None and self.fast_us <= 0:
-            raise InvalidParameter("fast_us must be > 0")
+        # written so that NaN fails too
+        if self.slowdown is not None and not 1.0 < self.slowdown < math.inf:
+            raise InvalidParameter("slowdown must be finite and > 1")
+        if self.fast_us is not None and not 0 < self.fast_us < math.inf:
+            raise InvalidParameter("fast_us must be finite and > 0")
 
 
 def _split_exact(total: int, n: int) -> list[int]:

@@ -453,6 +453,25 @@ def test_orphan_syscall_exit_exits_2_with_ts(tmp_path, capsys):
     assert "ts=5" in err and "tid 1" in err
 
 
+@pytest.mark.parametrize("command", ["graph", "cluster"])
+def test_zero_length_span_exits_2_with_ts(tmp_path, capsys, command):
+    trace = _jsonl(tmp_path, {"ts": 7, "kind": "span_begin", "span_id": "s0000"},
+                   {"ts": 7, "kind": "span_end", "span_id": "s0000"})
+    argv = [command, str(trace), "--out", str(tmp_path / "x.out")]
+    err = _exits_2(argv + (["--span", "s0000"] if command == "graph" else []),
+                   capsys)
+    assert "'s0000'" in err and "ts=7" in err
+
+
+@pytest.mark.parametrize("flag", ["--fast-us", "--slowdown"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_float_exits_2(tmp_path, capsys, flag, value):
+    err = _exits_2(["synth", "--scenario", "lock", "--spans", "2", flag, value,
+                    "--out-dir", str(tmp_path)], capsys)
+    assert flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def small_lock_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("small")

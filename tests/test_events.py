@@ -15,6 +15,7 @@ from waitgraph.errors import (
     UnmatchedEnd,
 )
 from waitgraph.events import (
+    PAYLOAD_FIELDS,
     EventKind,
     TraceEvent,
     extract_spans,
@@ -28,6 +29,7 @@ from waitgraph.states import (
     thread_state_key,
     thread_syscall_key,
 )
+from waitgraph.synth import SCENARIOS, ScenarioSpec, generate
 from randtrace import random_trace
 
 
@@ -194,6 +196,59 @@ def test_write_read_round_trip_random_trace():
     buf2 = io.StringIO()
     write_trace(again, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+# -- the decoder takes a line only as json.loads would --------------------------
+
+_PF = _line(ts=1, cpu=0, tid=1, comm="x", kind="page_fault")
+_IO = _line(ts=2, cpu=0, tid=1, comm="x", kind="io_read", bytes=5)
+
+
+@pytest.mark.parametrize("text", [
+    _PF + "\r\n" + _IO + "\r\n",
+    _PF + "\n" + _IO,
+    "  " + _PF + "  \n\t" + _IO + " \n",
+], ids=["crlf", "no_final_newline", "spaces"])
+def test_line_framing_does_not_change_records(text):
+    assert read_trace(text.encode()) == [
+        TraceEvent(1, 0, 1, "x", EventKind.PAGE_FAULT, {}),
+        TraceEvent(2, 0, 1, "x", EventKind.IO_READ, {"bytes": 5})]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeff" + _PF + "\n" + _IO + "\n",
+     "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (_PF + "\n" + _IO + _IO + "\n", "line 2: invalid JSON: Extra data"),
+    (_PF + "\n" + _IO + " x", "line 2: invalid JSON: Extra data"),
+    (_PF.replace('"ts": 1', '"ts": NaN') + "\n", "line 1: bad ts/cpu/tid/comm field"),
+    # joined as one array these three lines would decode to three records
+    ('{"ts":1,"cpu":0,"tid":1,"comm":"x","kind":"page_fault","x":[1\n2]}\n'
+     + _PF + "," + _PF + "\n", "line 1: invalid JSON: Expecting ',' delimiter"),
+], ids=["bom", "extra_data", "extra_data_last_line", "nan_ts", "split_record"])
+def test_line_that_json_loads_rejects_fails_at_its_line(text, message):
+    with pytest.raises(MalformedRecord) as exc:
+        read_trace(text.encode())
+    assert str(exc.value) == message
+
+
+def _events_by_json_loads(text: str) -> list[TraceEvent]:
+    events = []
+    for line in text.splitlines():
+        rec = json.loads(line)
+        kind = EventKind(rec["kind"])
+        events.append(TraceEvent(rec["ts"], rec["cpu"], rec["tid"], rec["comm"], kind,
+                                 {key: rec[key] for key, _ in PAYLOAD_FIELDS[kind]}))
+    return events
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_synth_trace_parses_like_json_loads_per_line(scenario):
+    events, _ = generate(ScenarioSpec(scenario, seed=4, n_spans=12))
+    buf = io.StringIO()
+    write_trace(events, buf)
+    reference = _events_by_json_loads(buf.getvalue())
+    assert read_trace(buf.getvalue().encode()) == reference
+    assert reference == events
 
 
 def _span_ev(ts, tid, kind, span_id, cpu=0):
