@@ -3,18 +3,23 @@
 Subcommands: synth, graph, cluster, compare, inspect.  Exit codes:
 0 success, 2 usage/validation error, 3 span or cluster not found,
 4 internal invariant breach.  All randomness flows from --seed; identical
-inputs and flags produce byte-identical outputs.
+inputs and flags produce byte-identical outputs.  graph, cluster, compare
+and inspect keep the trace's fold in a TRACE.wgstate sidecar that only
+saves time (see _load_pipeline).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import stat
 import sys
 from bisect import bisect_right
 from pathlib import Path
 
-from . import analysis, graph, states, synth
+from . import analysis, events, graph, states, synth
 from .errors import (
     EmptySpan,
     InvalidParameter,
@@ -57,19 +62,85 @@ def _json_text(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
+# A command's fold is kept in the sidecar TRACE.wgstate: a header line
+# (magic, sha256 of the trace bytes, of the source below and of the body)
+# and the states._encode_state body.  Any mismatch or unreadable sidecar
+# means a fold as if there were none; deleting the file is always safe.
+_SIDECAR_MAGIC = b"waitgraph-state"
+_SIDECAR_SOURCES = (events.__file__, states.__file__, __file__)
+
+
+def _sidecar_prefix(raw) -> bytes | None:
+    """The header a sidecar of the open trace must start with, or None
+    when the trace or the source cannot be read."""
+    trace, source = hashlib.sha256(), hashlib.sha256()
+    try:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            trace.update(chunk)
+        for path in _SIDECAR_SOURCES:
+            source.update(Path(path).read_bytes())
+    except OSError:
+        return None
+    return b"%s %s %s " % (_SIDECAR_MAGIC, trace.hexdigest().encode(),
+                           source.hexdigest().encode())
+
+
+def _read_sidecar(path: Path, prefix: bytes):
+    """The (db, markers) of a sidecar whose header matches, else None."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # a directory, or a pipe whose open() would block
+        with open(path, "rb") as fh:
+            head = fh.readline(len(prefix) + 65)
+            if not head.startswith(prefix):
+                return None
+            body = fh.read()
+    except OSError:
+        return None
+    if head[len(prefix):] != hashlib.sha256(body).hexdigest().encode() + b"\n":
+        return None
+    try:
+        return states._decode_state(body)
+    except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
+        return None  # a body with a valid checksum that this code never wrote
+
+
+def _write_sidecar(path: Path, prefix: bytes, db, markers) -> None:
+    body = states._encode_state(db, markers)
+    try:
+        with atomic_output(path) as fh:
+            fh.write(prefix + hashlib.sha256(body).hexdigest().encode() + b"\n")
+            fh.write(body)
+    except OSError:
+        pass  # a read-only directory, a directory in the way: no cache
+
+
 def _load_pipeline(trace_path: str):
-    """Fold the trace into the state DB in one streaming pass, keeping only
-    the span markers for extract_spans."""
+    """The trace's state DB and span markers.  They come from the sidecar
+    when it matches the trace bytes and this code; otherwise the trace is
+    folded in one streaming pass and, if the fold succeeds, the sidecar
+    is rewritten.  Non-regular files (pipes) are always folded."""
+    sidecar = Path(trace_path + ".wgstate")
     markers = []
+    with open(trace_path, "rb") as raw:
+        prefix = None
+        if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            prefix = _sidecar_prefix(raw)
+            restored = _read_sidecar(sidecar, prefix) if prefix else None
+            if restored is not None:
+                return restored
+            raw.seek(0)
 
-    def events():
-        for ev in iter_trace(trace_path):
-            if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END):
-                markers.append(ev)
-            yield ev
+        def tapped():
+            for ev in iter_trace(raw):
+                if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END):
+                    markers.append(ev)
+                yield ev
 
-    db = states.build_state_db(events())
-    return db, extract_spans(markers)
+        db = states.build_state_db(tapped())
+    if prefix is not None:
+        _write_sidecar(sidecar, prefix, db, markers)
+    return db, markers
 
 
 def cmd_synth(args) -> int:
@@ -89,7 +160,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    db, extraction = _load_pipeline(args.trace)
+    db, markers = _load_pipeline(args.trace)
+    extraction = extract_spans(markers)
     span = next((s for s in extraction.spans if s.span_id == args.span), None)
     if span is None:
         raise _NotFound(f"span {args.span!r} not found in {args.trace}")
@@ -112,7 +184,8 @@ def _features_by_span(db, extraction):
 
 
 def cmd_cluster(args) -> int:
-    db, extraction = _load_pipeline(args.trace)
+    db, markers = _load_pipeline(args.trace)
+    extraction = extract_spans(markers)
     feats = _features_by_span(db, extraction)
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
@@ -149,7 +222,8 @@ def _report_clusters(path: str) -> dict[int, list[str]]:
 
 
 def cmd_compare(args) -> int:
-    db, extraction = _load_pipeline(args.trace)
+    db, markers = _load_pipeline(args.trace)
+    extraction = extract_spans(markers)
     by_cluster = _report_clusters(args.report)
     spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
@@ -190,7 +264,7 @@ def _counter_rows(db, tid: int, counter: str, t_a: int, t_b: int):
 
 
 def cmd_inspect(args) -> int:
-    db = states.build_state_db(iter_trace(args.trace))
+    db, _ = _load_pipeline(args.trace)
     t_a = args.from_ns if args.from_ns is not None else db.t_min
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
     if t_a >= t_b:

@@ -189,13 +189,18 @@ def _parse_line(line: str, lineno: int) -> TraceEvent:
     try:
         obj, end = _scan_once(line, 0)
         exact = line[end:] == "\n"
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError, RecursionError):
         exact = False
     if not exact:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # past int's string-conversion digit limit
+            raise MalformedRecord(lineno,
+                                  "invalid JSON: integer has too many digits") from exc
+        except RecursionError as exc:
+            raise MalformedRecord(lineno, "invalid JSON: nested too deeply") from exc
     if type(obj) is not dict:
         raise MalformedRecord(lineno, "record is not a JSON object")
     # hot path: grab and type-check the required fields without indirection

@@ -23,10 +23,13 @@ total from each step on.  ``counter_delta`` bisects them.
 from __future__ import annotations
 
 import gc
+import json
 from bisect import bisect_left, bisect_right
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable
 
 from .errors import NestingViolation, SwitchConflict
@@ -520,13 +523,72 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
     """
     builder = _Builder()
     handle = builder.handle
+    with _gc_paused():
+        for ev in events:
+            handle(ev)
+    return builder.finish()
+
+
+@contextmanager
+def _gc_paused():
+    # the interval store is acyclic: pausing the cycle collector while it
+    # is allocated only avoids wasted full-heap scans
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
-        for ev in events:
-            handle(ev)
+        yield
     finally:
         if was_enabled:
             gc.enable()
-    return builder.finish()
+
+
+# -- the CLI's state sidecar body ------------------------------------------
+
+
+def _encode_state(db: StateDatabase, markers: list[TraceEvent]) -> bytes:
+    """A database and the span markers folded beside it as columnar,
+    sorted-key JSON: per key the interval starts, the ends and an index
+    into one table of distinct values (a ThreadState is a [kind, reason,
+    waker_tid] list)."""
+    table: dict[object, int] = {}
+    intervals = {}
+    with _gc_paused():
+        for key in sorted(db._intervals):
+            ivs = db._intervals[key]
+            intervals[key] = [[sv.start for sv in ivs], [sv.end for sv in ivs],
+                              [table.setdefault(sv.value, len(table)) for sv in ivs]]
+    values = [[v.kind.value, v.reason and v.reason.value, v.waker_tid]
+              if type(v) is ThreadState else v for v in table]
+    return json.dumps({
+        "intervals": intervals,
+        "values": values,
+        "counters": {c: [[tid, *cols] for tid, cols in db._counters[c].items()]
+                     for c in COUNTERS},
+        "comms": list(db.comms.items()),
+        "t_min": db.t_min,
+        "t_max": db.t_max,
+        "events_consumed": db.events_consumed,
+        "markers": [[ev.ts, ev.cpu, ev.tid, ev.comm, ev.kind.value,
+                     ev.payload["span_id"]] for ev in markers],
+    }, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _decode_state(body: bytes) -> tuple[StateDatabase, list[TraceEvent]]:
+    """The inverse of _encode_state."""
+    with _gc_paused():
+        obj = json.loads(body)
+        values = [ThreadState(StateKind(v[0]), v[1] and BlockReason(v[1]), v[2])
+                  if type(v) is list else v for v in obj["values"]]
+        intervals = {
+            key: list(map(StateValue, starts, ends, repeat(key),
+                          map(values.__getitem__, index)))
+            for key, (starts, ends, index) in obj["intervals"].items()}
+        counters = {c: {tid: (stamps, totals)
+                        for tid, stamps, totals in obj["counters"][c]}
+                    for c in COUNTERS}
+        markers = [TraceEvent(ts, cpu, tid, comm, EventKind(kind), {"span_id": span_id})
+                   for ts, cpu, tid, comm, kind, span_id in obj["markers"]]
+        db = StateDatabase(intervals, counters, dict(obj["comms"]), obj["t_min"],
+                           obj["t_max"], obj["events_consumed"])
+    return db, markers

@@ -73,6 +73,22 @@ class ScenarioSpec:
             raise InvalidParameter("slowdown must be finite and > 1")
         if self.fast_us is not None and not 0 < self.fast_us < math.inf:
             raise InvalidParameter("fast_us must be finite and > 0")
+        self._span_ns()
+
+    def _span_ns(self) -> tuple[int, int]:
+        """The fast and the slow span duration in ns, before jitter."""
+        fast, ratio = _DEFAULT_TIMING.get(self.scenario,
+                                          _DEFAULT_TIMING["lock_contention"])
+        if self.fast_us is not None:
+            fast = self.fast_us * 1000
+        if self.slowdown is not None:
+            ratio = self.slowdown
+        # a jittered slow span lasts up to (1 + jitter) times its target
+        if not math.isfinite(fast * ratio * (1.0 + self.jitter)):
+            raise InvalidParameter(
+                "fast_us * slowdown gives a span duration that is not finite")
+        fast = int(fast)
+        return fast, int(fast * ratio)
 
 
 def _split_exact(total: int, n: int) -> list[int]:
@@ -113,13 +129,7 @@ class _Gen:
         self.spec = spec
         self.rng = random.Random(spec.seed)
         self.now = 1_000
-        fast, ratio = _DEFAULT_TIMING.get(spec.scenario, _DEFAULT_TIMING["lock_contention"])
-        if spec.fast_us is not None:
-            fast = int(spec.fast_us * 1000)
-        if spec.slowdown is not None:
-            ratio = spec.slowdown
-        self.fast_ns = fast
-        self.slow_ns = int(fast * ratio)
+        self.fast_ns, self.slow_ns = spec._span_ns()
         self.comms: dict[int, str] = {}
         self.gt_spans: list[dict] = []
 

@@ -1,24 +1,32 @@
 from __future__ import annotations
 
+import errno
+import hashlib
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waitgraph import cli, states
 from waitgraph.analysis import extract_features, representative
 from waitgraph.cli import main
 from waitgraph.graph import build_span_graph, canonicalize
 from waitgraph.states import COUNTERS, build_state_db
-from waitgraph.events import EventKind, extract_spans, read_trace
+from waitgraph.events import (EventKind, atomic_output, extract_spans, read_trace,
+                              write_trace)
+from waitgraph.synth import ScenarioSpec, generate
 from conftest import SRC
 from oracles import counter_lines_by_scan
+from randtrace import random_trace
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +459,18 @@ def test_orphan_syscall_exit_exits_2_with_ts(tmp_path, capsys):
     err = _exits_2(["graph", str(trace), "--span", "s0000",
                     "--out", str(tmp_path / "x.dot")], capsys)
     assert "ts=5" in err and "tid 1" in err
+    assert not _sidecar(trace).exists()  # a failed fold caches nothing
+
+
+@pytest.mark.parametrize("line", [
+    '{"ts":' + "9" * 5000 + ',"cpu":0,"tid":1,"comm":"w","kind":"page_fault"}\n',
+    "[" * 100_000 + "\n"], ids=["long_integer", "too_deep"])
+def test_undecodable_trace_line_exits_2_with_line(tmp_path, capsys, line):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(line)
+    err = _exits_2(["graph", str(trace), "--span", "s0000",
+                    "--out", str(tmp_path / "x.dot")], capsys)
+    assert "line 1" in err
 
 
 @pytest.mark.parametrize("command", ["graph", "cluster"])
@@ -464,7 +484,7 @@ def test_zero_length_span_exits_2_with_ts(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("flag", ["--fast-us", "--slowdown"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e306", "1e308"])
 def test_synth_non_finite_float_exits_2(tmp_path, capsys, flag, value):
     err = _exits_2(["synth", "--scenario", "lock", "--spans", "2", flag, value,
                     "--out-dir", str(tmp_path)], capsys)
@@ -527,3 +547,221 @@ def test_mutated_report_never_escapes_exit_codes(small_lock_dir, small_report, d
     path.write_bytes(bytes(report))
     rc = main(_compare_argv(small_lock_dir, path, small_lock_dir / "mutated_cmp.dot"))
     assert rc in (0, 2, 3)
+
+
+# -- the state sidecar: a cache that never changes what a command does ---------
+
+
+def _sidecar(trace: Path) -> Path:
+    return Path(f"{trace}.wgstate")
+
+
+def _count_folds(monkeypatch) -> list[int]:
+    folds = []
+    fold = states.build_state_db
+
+    def counted(events):
+        folds.append(1)
+        return fold(events)
+    monkeypatch.setattr(states, "build_state_db", counted)
+    return folds
+
+
+def _run(argv: list[str], outputs: list[Path]) -> tuple:
+    """Exit code, stdout, stderr and output bytes of one command."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), \
+        [path.read_bytes() if path.exists() else None for path in outputs]
+
+
+def _assert_same_state(restored, folded) -> None:
+    (db, markers), (ref, ref_markers) = restored, folded
+    assert db.keys() == ref.keys()
+    for key in ref.keys():
+        assert db.intervals(key) == ref.intervals(key), key
+    assert list(db.comms.items()) == list(ref.comms.items())
+    for tid in ref.comms:
+        for counter in COUNTERS:
+            assert db.counter_steps(tid, counter) == ref.counter_steps(tid, counter)
+    assert (db.t_min, db.t_max, db.events_consumed) == \
+        (ref.t_min, ref.t_max, ref.events_consumed)
+    assert extract_spans(markers) == extract_spans(ref_markers)
+
+
+@pytest.mark.parametrize("name", ["lock", "disk", "cpu", "mixed",
+                                  "randtrace0", "randtrace1", "randtrace2"])
+def test_sidecar_restores_the_folded_state(tmp_path, monkeypatch, name):
+    if name.startswith("randtrace"):
+        events = random_trace(int(name[-1]), 700, with_spans=True)
+    else:
+        events = generate(ScenarioSpec(name, seed=5, n_spans=12))[0]
+    trace = tmp_path / "trace.jsonl"
+    write_trace(events, trace)
+    markers = [ev for ev in events
+               if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)]
+    folded = (build_state_db(events), markers)
+    folds = _count_folds(monkeypatch)
+    _assert_same_state(cli._load_pipeline(str(trace)), folded)
+    assert _sidecar(trace).exists()
+    _assert_same_state(cli._load_pipeline(str(trace)), folded)
+    assert len(folds) == 1
+
+
+@pytest.mark.parametrize("command", ["graph", "cluster", "compare", "inspect"])
+def test_sidecar_outputs_identical_cold_warm_and_deleted(lock_dir, tmp_path,
+                                                         monkeypatch, command):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes((lock_dir / "trace.jsonl").read_bytes())
+    report = tmp_path / "report.json"
+    if command == "compare":
+        assert main(["cluster", str(trace), "--out", str(report)]) == 0
+        _sidecar(trace).unlink()
+    outputs = [tmp_path / "a.out", tmp_path / "b.out"]
+    argv = {
+        "graph": ["--span", "s0003", "--out", str(outputs[0]), "--json", str(outputs[1])],
+        "cluster": ["--k", "2", "--out", str(outputs[0])],
+        "compare": ["--report", str(report), "--left", "0", "--right", "1",
+                    "--out", str(outputs[0]), "--json", str(outputs[1])],
+        "inspect": ["--key", "thread/"],
+    }[command]
+    folds = _count_folds(monkeypatch)
+    cold = _run([command, str(trace), *argv], outputs)
+    assert cold[0] == 0 and len(folds) == 1
+    assert _run([command, str(trace), *argv], outputs) == cold
+    assert len(folds) == 1
+    _sidecar(trace).unlink()
+    assert _run([command, str(trace), *argv], outputs) == cold
+    assert len(folds) == 2
+
+
+def test_sidecar_invalidated_by_rewriting_the_trace_in_place(small_lock_dir, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    original = (small_lock_dir / "trace.jsonl").read_bytes()
+    trace.write_bytes(original)
+    argv = ["graph", str(trace), "--span", "s0000", "--out", str(tmp_path / "g.dot")]
+    outputs = [tmp_path / "g.dot"]
+    before = _run(argv, outputs)
+    stat_before = trace.stat()
+    # same size and mtime, other bytes: only the content hash can tell
+    rewritten = original.replace(b'"comm":"apache2"', b'"comm":"apache3"')
+    assert rewritten != original and len(rewritten) == len(original)
+    trace.write_bytes(rewritten)
+    os.utime(trace, ns=(stat_before.st_atime_ns, stat_before.st_mtime_ns))
+    after = _run(argv, outputs)
+    assert after[0] == 0 and "apache3" in after[1] and after != before
+    fresh = tmp_path / "fresh.jsonl"
+    fresh.write_bytes(rewritten)
+    assert _run(["graph", str(fresh), "--span", "s0000",
+                 "--out", str(tmp_path / "g.dot")], outputs) == after
+    assert _sidecar(trace).read_bytes() == _sidecar(fresh).read_bytes()
+
+
+def test_orphan_span_end_is_cached_but_still_fails_graph(tmp_path, monkeypatch):
+    trace = _jsonl(tmp_path, {"ts": 1, "kind": "page_fault"},
+                   {"ts": 2, "kind": "span_end", "span_id": "x"},
+                   {"ts": 3, "kind": "page_fault"})
+    folds = _count_folds(monkeypatch)
+    graph = ["graph", str(trace), "--span", "x", "--out", str(tmp_path / "x.dot")]
+    cold = _run(graph, [])
+    assert cold[0] == 2 and "span 'x' ended at ts=2 with no begin" in cold[2]
+    assert _sidecar(trace).exists()
+    assert _run(graph, []) == cold
+    inspect = _run(["inspect", str(trace)], [])
+    assert inspect[0] == 0 and "thread/1/state\t[1, 3)\trunning\n" in inspect[1]
+    assert len(folds) == 1
+    _sidecar(trace).unlink()
+    assert _run(["inspect", str(trace)], []) == inspect
+    assert len(folds) == 2
+
+
+def test_sidecar_is_byte_deterministic(small_lock_dir, tmp_path):
+    sidecars = []
+    for name in ("a", "b"):
+        trace = tmp_path / name / "trace.jsonl"
+        trace.parent.mkdir()
+        trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+        assert main(["inspect", str(trace), "--key", "cpu/"]) == 0
+        sidecars.append(_sidecar(trace).read_bytes())
+    assert sidecars[0] == sidecars[1]
+
+
+def _swap_header_field(sidecar: bytes, index: int) -> bytes:
+    """The sidecar with one digest of its header replaced."""
+    head, body = sidecar.split(b"\n", 1)
+    fields = head.split(b" ")
+    fields[index] = hashlib.sha256(b"another").hexdigest().encode()
+    return b" ".join(fields) + b"\n" + body
+
+
+_BAD_SIDECARS = {
+    "missing": lambda path, good: path.unlink(),
+    "empty": lambda path, good: path.write_bytes(b""),
+    "truncated": lambda path, good: path.write_bytes(good[:len(good) // 2]),
+    "mutated": lambda path, good: path.write_bytes(
+        good[:-9] + bytes([good[-9] ^ 1]) + good[-8:]),
+    "stale": lambda path, good: path.write_bytes(_swap_header_field(good, 1)),
+    "older_format": lambda path, good: path.write_bytes(_swap_header_field(good, 2)),
+    "directory": lambda path, good: (path.unlink(), path.mkdir()),
+    "unreadable": lambda path, good: (path.unlink(), path.symlink_to(path.name)),
+    "fifo": lambda path, good: (path.unlink(), os.mkfifo(path)),
+}
+
+
+@pytest.mark.parametrize("condition", [*_BAD_SIDECARS, "unwritable"])
+def test_bad_sidecar_folds_as_if_absent(small_lock_dir, tmp_path, monkeypatch,
+                                        condition):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+    outputs = [tmp_path / "g.dot"]
+    argv = ["graph", str(trace), "--span", "s0001", "--out", str(outputs[0])]
+    expected = _run(argv, outputs)
+    good = _sidecar(trace).read_bytes()
+    if condition == "unwritable":
+        _sidecar(trace).unlink()
+
+        def refuse_sidecar(path):
+            if str(path).endswith(".wgstate"):
+                raise OSError(errno.EROFS, "Read-only file system", str(path))
+            return atomic_output(path)
+        monkeypatch.setattr(cli, "atomic_output", refuse_sidecar)
+    else:
+        _BAD_SIDECARS[condition](_sidecar(trace), good)
+    folds = _count_folds(monkeypatch)
+    assert _run(argv, outputs) == expected
+    assert len(folds) == 1
+    if condition == "directory":
+        assert _sidecar(trace).is_dir()
+    elif condition == "unwritable":
+        assert not _sidecar(trace).exists()
+    else:
+        assert _sidecar(trace).read_bytes() == good
+
+
+@pytest.fixture(scope="module")
+def sidecar_case(small_lock_dir) -> tuple:
+    """The small lock trace in its own directory, its sidecar and the
+    result of `graph` with no sidecar."""
+    trace = small_lock_dir / "cached" / "trace.jsonl"
+    trace.parent.mkdir()
+    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+    outputs = [trace.parent / "g.dot"]
+    argv = ["graph", str(trace), "--span", "s0000", "--out", str(outputs[0])]
+    expected = _run(argv, outputs)
+    return argv, outputs, _sidecar(trace).read_bytes(), expected
+
+
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_mutated_sidecar_never_changes_the_result(sidecar_case, data):
+    argv, outputs, good, expected = sidecar_case
+    sidecar = bytearray(good)
+    positions = st.integers(0, len(sidecar) - 1)
+    for pos, byte in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)),
+                                        min_size=1, max_size=3)):
+        sidecar[pos] = byte
+    _sidecar(Path(argv[1])).write_bytes(bytes(sidecar))
+    assert _run(argv, outputs) == expected
