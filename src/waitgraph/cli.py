@@ -100,7 +100,10 @@ def _read_sidecar(path: Path, prefix: bytes):
     if head[len(prefix):] != hashlib.sha256(body).hexdigest().encode() + b"\n":
         return None
     try:
-        return states._decode_state(body)
+        # the body is ASCII: drop its bytes so only the str is held while parsed
+        text = body.decode("ascii")
+        del body
+        return states._decode_state(text)
     except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
         return None  # a body with a valid checksum that this code never wrote
 

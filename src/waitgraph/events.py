@@ -244,13 +244,19 @@ def read_trace(source) -> list[TraceEvent]:
     and NonMonotonicTimestamp carry the offending 1-based line number.
     Entry/exit nesting is checked by the state-DB fold, not here.
     """
-    # pause the cycle collector while allocating millions of records; the
-    # event graph is acyclic so the pause only avoids wasted full-heap scans
+    with _gc_paused():
+        return list(iter_trace(source))
+
+
+@contextmanager
+def _gc_paused():
+    # pause the cycle collector while allocating millions of acyclic records
+    # (events, state columns): the pause only avoids wasted full-heap scans
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
-        return list(iter_trace(source))
+        yield
     finally:
         if was_enabled:
             gc.enable()

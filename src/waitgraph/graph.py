@@ -294,13 +294,18 @@ def build_depgraph(db: StateDatabase, root_tid: int, ts_s: int, ts_e: int,
     A root thread absent from the range yields a graph with the root node
     only.  Recursion is guarded by a per-build visited set and a depth cap;
     mutual waits set cycle_detected instead of recursing forever.  Raises
-    InvalidParameter for a negative max_depth.
+    InvalidParameter for a negative max_depth, or for one so large that a
+    wait chain reaching it overflows the interpreter's recursion limit.
     """
     if ts_s >= ts_e:
         raise ValueError("build_depgraph: ts_s must be < ts_e")
     if max_depth < 0:
         raise InvalidParameter(f"max_depth must be >= 0, got {max_depth}")
-    return _GraphBuilder(db, max_depth).build(root_tid, ts_s, ts_e)
+    try:
+        return _GraphBuilder(db, max_depth).build(root_tid, ts_s, ts_e)
+    except RecursionError as exc:
+        raise InvalidParameter(f"max_depth {max_depth} lets the wait chain "
+                               "recurse past Python's limit; lower it") from exc
 
 
 def build_span_graph(db: StateDatabase, span: ExecutionSpan,

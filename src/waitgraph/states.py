@@ -9,10 +9,12 @@ Events are folded, in a single pass, into half-open interval records
     cpu/{idx}/current_tid     thread occupying the CPU
     disk/{dev}/active_tid     thread whose request the device is serving
 
-Per key, intervals are disjoint and sorted by start; point queries bisect,
-range queries clip.  Block I/O requests are matched FIFO per device and the
-device is modeled as serving one request at a time, so the active_tid
-intervals of one device never overlap.
+Per key, intervals are disjoint, sorted by start and stored as columns,
+like the counters below: the starts, the ends and the values.  Queries
+bisect the starts and build a StateValue only for an interval they return.
+Block I/O requests are matched FIFO per device and the device is modeled
+as serving one request at a time, so the active_tid intervals of one
+device never overlap.
 
 The cumulative counters of COUNTERS (page faults, bytes read, bytes
 written) are not intervals: each (tid, counter) is a pair of columns, the
@@ -22,18 +24,16 @@ total from each step on.  ``counter_delta`` bisects them.
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_left, bisect_right
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NestingViolation, SwitchConflict
-from .events import EventKind, TraceEvent
+from .events import EventKind, TraceEvent, _gc_paused
 
 
 class StateKind(str, Enum):
@@ -71,8 +71,7 @@ RUNNABLE = ThreadState(StateKind.RUNNABLE)
 INTERRUPTED = ThreadState(StateKind.INTERRUPTED)
 
 
-@dataclass(frozen=True, slots=True)
-class StateValue:
+class StateValue(NamedTuple):
     """One attribute value over a half-open interval [start, end)."""
 
     start: int
@@ -83,12 +82,6 @@ class StateValue:
     @property
     def duration_ns(self) -> int:
         return self.end - self.start
-
-    def clipped(self, t_a: int, t_b: int) -> "StateValue":
-        s, e = max(self.start, t_a), min(self.end, t_b)
-        if s == self.start and e == self.end:
-            return self
-        return StateValue(s, e, self.key, self.value)
 
 
 def thread_state_key(tid: int) -> str:
@@ -135,6 +128,9 @@ def _irq_frame(ev: TraceEvent) -> tuple[str, int | None]:
     return family, ev.payload[token_key] if token_key else None
 
 
+# (starts, ends, values) of one key's intervals
+IntervalColumns = tuple[list[int], list[int], list[object]]
+_NO_INTERVALS: IntervalColumns = ([], [], [])
 # (step timestamps, cumulative totals) of one thread's counter
 CounterColumns = tuple[list[int], list[int]]
 _NO_STEPS: CounterColumns = ([], [])
@@ -156,12 +152,11 @@ DEFAULT_SOFTIRQ_REASONS = {
 class StateDatabase:
     """Immutable interval store with point and range queries."""
 
-    def __init__(self, intervals: dict[str, list[StateValue]],
+    def __init__(self, intervals: dict[str, IntervalColumns],
                  counters: dict[str, dict[int, CounterColumns]], comms: dict[int, str],
                  t_min: int, t_max: int, events_consumed: int):
         self._intervals = intervals
         self._counters = counters
-        self._starts = {k: [sv.start for sv in ivs] for k, ivs in intervals.items()}
         self._disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
         self.comms = comms
         self.t_min = t_min
@@ -172,8 +167,9 @@ class StateDatabase:
         return sorted(self._intervals)
 
     def intervals(self, key: str) -> list[StateValue]:
-        """The raw sorted interval list for a key (do not mutate)."""
-        return self._intervals.get(key, [])
+        """A fresh list of the key's intervals, sorted by start."""
+        starts, ends, values = self._intervals.get(key, _NO_INTERVALS)
+        return list(map(StateValue, starts, ends, repeat(key), values))
 
     def comm(self, tid: int) -> str:
         return self.comms.get(tid, f"tid{tid}")
@@ -187,38 +183,35 @@ class StateDatabase:
 
     def query_at(self, key: str, t: int) -> object | None:
         """The value holding at instant t, or None."""
-        ivs = self._intervals.get(key)
-        if not ivs:
-            return None
-        i = bisect_right(self._starts[key], t) - 1
-        if i >= 0 and ivs[i].end > t:
-            return ivs[i].value
+        starts, ends, values = self._intervals.get(key, _NO_INTERVALS)
+        i = bisect_right(starts, t) - 1
+        if i >= 0 and ends[i] > t:
+            return values[i]
         return None
 
     def query_range(self, key: str, t_a: int, t_b: int) -> list[StateValue]:
         """All intervals intersecting [t_a, t_b), clipped, ordered by start."""
         if t_a >= t_b:
             raise ValueError("query_range: t_a must be < t_b")
-        ivs = self._intervals.get(key)
-        if not ivs:
-            return []
-        i = bisect_right(self._starts[key], t_a) - 1
-        if i < 0 or ivs[i].end <= t_a:
-            i += 1
-        out = []
-        while i < len(ivs) and ivs[i].start < t_b:
-            if ivs[i].end > t_a:
-                out.append(ivs[i].clipped(t_a, t_b))
-            i += 1
-        return out
+        starts, ends, values = self._intervals.get(key, _NO_INTERVALS)
+        # disjoint and sorted: the hits are the interval holding t_a, if
+        # any, and every later one that starts before t_b
+        lo = bisect_right(starts, t_a) - 1
+        if lo < 0 or ends[lo] <= t_a:
+            lo += 1
+        hi = bisect_left(starts, t_b, lo)
+        # fresh slices: the first start and the last end are clipped in place
+        hit_starts, hit_ends = starts[lo:hi], ends[lo:hi]
+        if hit_starts:
+            hit_starts[0] = max(hit_starts[0], t_a)
+            hit_ends[-1] = min(hit_ends[-1], t_b)
+        return list(map(StateValue, hit_starts, hit_ends, repeat(key), values[lo:hi]))
 
     def last_value_before(self, key: str, t: int) -> object | None:
         """Value of the most recent interval starting strictly before t."""
-        ivs = self._intervals.get(key)
-        if not ivs:
-            return None
-        i = bisect_right(self._starts[key], t - 1) - 1
-        return ivs[i].value if i >= 0 else None
+        starts, _, values = self._intervals.get(key, _NO_INTERVALS)
+        i = bisect_right(starts, t - 1) - 1
+        return values[i] if i >= 0 else None
 
     def counter_steps(self, tid: int, counter: str) -> CounterColumns:
         """The step timestamps and cumulative totals of one thread's counter
@@ -260,7 +253,7 @@ class StateDatabase:
 
 class _Builder:
     def __init__(self):
-        self.intervals: dict[str, list[StateValue]] = {}
+        self.intervals: dict[str, IntervalColumns] = {}
         self.open: dict[str, tuple[int, object]] = {}
         self.comms: dict[int, str] = {}
         self.irq_stack: dict[int, list[tuple[str, int | None]]] = {}
@@ -278,6 +271,15 @@ class _Builder:
 
     # interval plumbing: one open value per key; zero-length intervals are
     # dropped so state flips at a shared timestamp never violate t_i < t_j.
+    def _append(self, key: str, start: int, end: int, value: object) -> None:
+        cols = self.intervals.get(key)
+        if cols is None:
+            self.intervals[key] = ([start], [end], [value])
+        else:
+            cols[0].append(start)
+            cols[1].append(end)
+            cols[2].append(value)
+
     def set_open(self, key: str, t: int, value: object) -> None:
         cur = self.open.get(key)
         if cur is not None:
@@ -285,14 +287,13 @@ class _Builder:
             if old == value:
                 return
             if start < t:
-                self.intervals.setdefault(key, []).append(StateValue(start, t, key, old))
+                self._append(key, start, t, old)
         self.open[key] = (t, value)
 
     def close_open(self, key: str, t: int) -> None:
         cur = self.open.pop(key, None)
         if cur is not None and cur[0] < t:
-            start, old = cur
-            self.intervals.setdefault(key, []).append(StateValue(start, t, key, old))
+            self._append(key, cur[0], t, cur[1])
 
     def open_value(self, key: str) -> object | None:
         cur = self.open.get(key)
@@ -476,9 +477,7 @@ class _Builder:
         tid, issued = fifo.popleft()
         service_start = max(issued, self.dev_last_end.get(dev, 0))
         if service_start < ev.ts:
-            key = disk_active_key(dev)
-            self.intervals.setdefault(key, []).append(
-                StateValue(service_start, ev.ts, key, tid))
+            self._append(disk_active_key(dev), service_start, ev.ts, tid)
         self.dev_last_end[dev] = ev.ts
 
     def finish(self) -> StateDatabase:
@@ -529,20 +528,6 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
     return builder.finish()
 
 
-@contextmanager
-def _gc_paused():
-    # the interval store is acyclic: pausing the cycle collector while it
-    # is allocated only avoids wasted full-heap scans
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 # -- the CLI's state sidecar body ------------------------------------------
 
 
@@ -555,9 +540,8 @@ def _encode_state(db: StateDatabase, markers: list[TraceEvent]) -> bytes:
     intervals = {}
     with _gc_paused():
         for key in sorted(db._intervals):
-            ivs = db._intervals[key]
-            intervals[key] = [[sv.start for sv in ivs], [sv.end for sv in ivs],
-                              [table.setdefault(sv.value, len(table)) for sv in ivs]]
+            starts, ends, vals = db._intervals[key]
+            intervals[key] = [starts, ends, [table.setdefault(v, len(table)) for v in vals]]
     values = [[v.kind.value, v.reason and v.reason.value, v.waker_tid]
               if type(v) is ThreadState else v for v in table]
     return json.dumps({
@@ -574,16 +558,14 @@ def _encode_state(db: StateDatabase, markers: list[TraceEvent]) -> bytes:
     }, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _decode_state(body: bytes) -> tuple[StateDatabase, list[TraceEvent]]:
+def _decode_state(body: str) -> tuple[StateDatabase, list[TraceEvent]]:
     """The inverse of _encode_state."""
     with _gc_paused():
         obj = json.loads(body)
         values = [ThreadState(StateKind(v[0]), v[1] and BlockReason(v[1]), v[2])
                   if type(v) is list else v for v in obj["values"]]
-        intervals = {
-            key: list(map(StateValue, starts, ends, repeat(key),
-                          map(values.__getitem__, index)))
-            for key, (starts, ends, index) in obj["intervals"].items()}
+        intervals = {key: (starts, ends, list(map(values.__getitem__, index)))
+                     for key, (starts, ends, index) in obj["intervals"].items()}
         counters = {c: {tid: (stamps, totals)
                         for tid, stamps, totals in obj["counters"][c]}
                     for c in COUNTERS}

@@ -421,6 +421,30 @@ def test_graph_negative_max_depth_exits_2(lock_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_wait_chain_deeper_than_recursion_limit_exits_2(tmp_path, capsys):
+    # tid k blocks and hands the cpu to k + 1; then each thread wakes the
+    # one before it, so the walk from tid 1 recurses once per chain link
+    n = 700
+    records = [{"ts": 1, "kind": "span_begin", "span_id": "x"}]
+    for k in range(1, n):
+        records.append({"ts": 1 + k, "tid": k, "kind": "sched_switch", "prev_tid": k,
+                        "prev_state": "blocked", "next_tid": k + 1})
+    for i, k in enumerate(range(n - 1, 0, -1)):
+        ts = n + 1 + 2 * i
+        records.append({"ts": ts, "tid": k + 1, "kind": "sched_wakeup",
+                        "waker_tid": k + 1, "wakee_tid": k, "waker_context": "task"})
+        records.append({"ts": ts + 1, "tid": k + 1, "kind": "sched_switch",
+                        "prev_tid": k + 1, "prev_state": "blocked", "next_tid": k})
+    records.append({"ts": 3 * n, "kind": "span_end", "span_id": "x"})
+    trace = _jsonl(tmp_path, *records)
+    out = tmp_path / "x.dot"
+    err = _exits_2(["graph", str(trace), "--span", "x", "--max-depth", "1000",
+                    "--out", str(out)], capsys)
+    assert "max_depth" in err
+    assert not out.exists()
+    assert main(["graph", str(trace), "--span", "x", "--out", str(out)]) == 0
+
+
 def test_graph_negative_min_edge_us_exits_2(lock_dir, tmp_path, capsys):
     out = tmp_path / "x.dot"
     err = _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",

@@ -385,10 +385,26 @@ def test_query_range_matches_linear_oracle(seed):
     db = build_state_db(events)
     rng = _random.Random(seed + 1000)
     keys = db.keys()
+    windows = []
     for _ in range(30):
         key = rng.choice(keys)
         t_a = rng.randint(db.t_min, db.t_max - 1)
         t_b = rng.randint(t_a + 1, db.t_max + 10)
+        windows.append((key, t_a, t_b))
+    # instants exactly at, and one off, each interval boundary; windows
+    # between such instants around a few intervals and their neighbours
+    for key in rng.sample(keys, 4):
+        ivs = db.intervals(key)
+        bounds = sorted({t + d for sv in ivs for t in (sv.start, sv.end)
+                         for d in (-1, 0, 1)})
+        for t in bounds:
+            assert db.query_at(key, t) == next(
+                (sv.value for sv in ivs if sv.start <= t < sv.end), None), (key, t)
+            assert db.last_value_before(key, t) == next(
+                (sv.value for sv in reversed(ivs) if sv.start < t), None), (key, t)
+        for i in rng.sample(range(len(bounds)), min(6, len(bounds))):
+            windows += [(key, bounds[i], t_b) for t_b in bounds[i + 1:i + 10]]
+    for key, t_a, t_b in windows:
         assert db.query_range(key, t_a, t_b) == linear_query_range(db, key, t_a, t_b)
 
 
