@@ -33,7 +33,8 @@ from .errors import (
     UnknownEventKind,
     UnmatchedEnd,
 )
-from .events import EventKind, atomic_output, extract_spans, iter_trace
+from .events import (EventKind, atomic_output, atomic_write_text, extract_spans,
+                     iter_trace, json_text)
 from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up here)
 
 # bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
@@ -50,16 +51,6 @@ EXIT_INTERNAL = 4
 
 class _NotFound(Exception):
     pass
-
-
-def _atomic_write(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_output(path) as fh:
-        fh.write(data.encode("utf-8"))
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 # A command's fold is kept in the sidecar TRACE.wgstate: a header line
@@ -173,9 +164,9 @@ def cmd_graph(args) -> int:
         g = graph.canonicalize(g)
     dot = graph.to_dot(g, percentages=not args.no_percentages,
                        min_edge_us=args.min_edge_us)
-    _atomic_write(Path(args.out), dot)
+    atomic_write_text(args.out, dot)
     if args.json:
-        _atomic_write(Path(args.json), _json_text(graph.to_json_dict(g)))
+        atomic_write_text(args.json, json_text(graph.to_json_dict(g)))
     root = g.root
     print(f"span {span.span_id}: root {root.label} total {root.total_us} µs, "
           f"{len(g.nodes)} nodes, {len(g.edges)} edges")
@@ -192,7 +183,7 @@ def cmd_cluster(args) -> int:
     feats = _features_by_span(db, extraction)
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
-    _atomic_write(Path(args.out), _json_text(report))
+    atomic_write_text(args.out, json_text(report))
     sizes = [sum(1 for c in clustering.assignments.values() if c == i)
              for i in range(args.k)]
     print(f"clustered {len(feats)} spans into k={args.k} "
@@ -243,10 +234,9 @@ def cmd_compare(args) -> int:
                 graph.build_span_graph(db, span, max_depth=args.max_depth)))
         reps.append(analysis.representative(graphs))
     cg = analysis.compare(reps[0], reps[1], stat=args.stat)
-    _atomic_write(Path(args.out), analysis.comparison_to_dot(cg))
+    atomic_write_text(args.out, analysis.comparison_to_dot(cg))
     if args.json:
-        _atomic_write(Path(args.json),
-                      _json_text(analysis.comparison_to_json_dict(cg)))
+        atomic_write_text(args.json, json_text(analysis.comparison_to_json_dict(cg)))
     styles = [e.style.value for e in cg.edges.values()]
     print(f"compared clusters {args.left} vs {args.right}: "
           f"{styles.count('solid')} solid, {styles.count('dashed')} dashed, "
@@ -288,7 +278,7 @@ def cmd_inspect(args) -> int:
             lines.append(f"{key}\t[{start}, {end})\t{value}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        _atomic_write(Path(args.out), text)
+        atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -302,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario trace")
-    p.add_argument("--scenario", required=True,
-                   choices=["lock", "cpu", "disk", "mixed",
-                            "lock_contention", "cpu_contention", "disk_contention"])
+    p.add_argument("--scenario", required=True, choices=synth.SCENARIO_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spans", type=int, default=20)
     p.add_argument("--slow-fraction", type=float, default=0.5)

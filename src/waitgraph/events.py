@@ -289,6 +289,19 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace path atomically with text in UTF-8, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_output(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def json_text(obj) -> str:
+    """The text of every JSON report: sorted keys, indent 2, final newline."""
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
 def write_trace(events: Iterable[TraceEvent], dest) -> None:
     """Write events as canonical JSONL.  A path is replaced atomically and
     gzipped when it ends in .gz (zero mtime, so the bytes are reproducible)."""

@@ -1,6 +1,6 @@
-"""Deterministic synthetic traces for three contention scenarios.
+"""Deterministic synthetic traces for the paper's three anomalies.
 
-Each scenario emits delimited spans on a root thread plus the surrounding
+Four scenarios emit delimited spans on a root thread plus the surrounding
 scheduler choreography, with ground-truth labels for every span:
 
   lock_contention  slow worker spans block inside fcntl behind peer threads
@@ -13,6 +13,13 @@ scheduler choreography, with ground-truth labels for every span:
                    threads share the rest;
   mixed            spans drawn from all three.
 
+Every span shares one frame (_Gen.open_span / close_span): the root is
+switched in from its CPU's filler, the span begins, the scenario's body
+runs, the span ends at t0 + its jittered total, the root is switched out
+blocked and the ground-truth record is appended.  _TABLE maps each
+scenario name to its short name, its timing and the (prologue, span)
+emitters its spans are drawn from; the CLI takes its names from there.
+
 Identical (scenario, seed, parameters) produce byte-identical traces.
 Timing targets are realized by exact integer partition plus seeded jitter,
 so measured shares land within a couple of percent of the targets.
@@ -20,26 +27,14 @@ so measured shares land within a couple of percent of the targets.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameter
-from .events import EventKind, TraceEvent, atomic_output, write_trace
-
-SCENARIOS = ("lock_contention", "cpu_contention", "disk_contention", "mixed")
-_ALIASES = {"lock": "lock_contention", "cpu": "cpu_contention",
-            "disk": "disk_contention", "mixed": "mixed"}
-
-# per-scenario (fast span ns, slow/fast ratio)
-_DEFAULT_TIMING = {
-    "lock_contention": (2_815_000, 40_148_000 / 2_815_000),
-    "cpu_contention": (1_000_000, 9.0),
-    "disk_contention": (3_000_000, 10.0),
-}
+from .events import EventKind, TraceEvent, atomic_write_text, json_text, write_trace
 
 
 @dataclass
@@ -56,7 +51,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.scenario = _ALIASES.get(self.scenario, self.scenario)
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _TABLE:
             raise InvalidParameter(f"unknown scenario {self.scenario!r}")
         if not 0.0 <= self.slow_fraction <= 1.0:
             raise InvalidParameter("slow_fraction must be within [0, 1]")
@@ -77,8 +72,8 @@ class ScenarioSpec:
 
     def _span_ns(self) -> tuple[int, int]:
         """The fast and the slow span duration in ns, before jitter."""
-        fast, ratio = _DEFAULT_TIMING.get(self.scenario,
-                                          _DEFAULT_TIMING["lock_contention"])
+        _, fast, slow, _ = _TABLE[self.scenario]
+        ratio = slow / fast
         if self.fast_us is not None:
             fast = self.fast_us * 1000
         if self.slowdown is not None:
@@ -124,6 +119,17 @@ _DISK_SYSCALL = "newfstat"
 _IRQ_THREAD = "irq/154-hpd"
 
 
+class _Frame(NamedTuple):
+    """An open span: where it runs, and its begin time and jittered total."""
+    cpu: int
+    filler: int
+    root: int
+    span_id: str
+    slow: bool
+    t0: int
+    total: int
+
+
 class _Gen:
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
@@ -165,6 +171,35 @@ class _Gen:
                 else {"bytes": 1024 * self.rng.randint(1, 8)}
             out.append(self.ev(start + spacing * (i + 1), cpu, tid, kind, **payload))
 
+    def open_span(self, out: list[TraceEvent], cpu: int, filler: int,
+                  root: int, span_id: str, slow: bool,
+                  lead: int = 2_000) -> _Frame:
+        """Draw the span's jittered total, switch root in from its CPU's
+        filler, wait the lead gap and begin the span."""
+        total = self.jittered(self.slow_ns if slow else self.fast_ns)
+        out.append(self.switch(self.now, cpu, filler, "runnable", root))
+        self.now += lead
+        out.append(self.ev(self.now, cpu, root, EventKind.SPAN_BEGIN,
+                           span_id=span_id))
+        return _Frame(cpu, filler, root, span_id, slow, self.now, total)
+
+    def close_span(self, out: list[TraceEvent], f: _Frame,
+                   idle: tuple[int, int], cause: str,
+                   slow_path: list[str]) -> None:
+        """End the span at t0 + total, switch the root out blocked, draw
+        the idle gap and record the span's ground truth."""
+        t_end = f.t0 + f.total
+        out.append(self.ev(t_end, f.cpu, f.root, EventKind.SPAN_END,
+                           span_id=f.span_id))
+        self.now = t_end + 2_000
+        out.append(self.switch(self.now, f.cpu, f.root, "blocked", f.filler))
+        self.now += self.rng.randint(*idle)
+        self.gt_spans.append({
+            "span_id": f.span_id, "label": "slow" if f.slow else "fast",
+            "injected_cause": cause if f.slow else "none",
+            "expected_path": slow_path if f.slow else [self.comms[f.root]],
+        })
+
     # -- lock contention -----------------------------------------------------
 
     def lock_prologue(self) -> list[TraceEvent]:
@@ -182,18 +217,14 @@ class _Gen:
         root = 10_000 + idx
         self.register(root, "apache2")
         peers = [20_001 + k for k in range(spec.workers)]
-        total = self.jittered(self.slow_ns if slow else self.fast_ns)
         out: list[TraceEvent] = []
-        out.append(self.switch(self.now, _LOCK_CPU, _LOCK_FILLER, "runnable", root))
-        self.now += 2_000
-        t0 = self.now
-        out.append(self.ev(t0, _LOCK_CPU, root, EventKind.SPAN_BEGIN, span_id=span_id))
+        f = self.open_span(out, _LOCK_CPU, _LOCK_FILLER, root, span_id, slow)
+        t0, total = f.t0, f.total
         if slow:
             # 91% of the span inside the lock syscall; within it 82% blocked
             # on the peer holding the lock and ~17.7% runnable behind it.
             in_sys = round(total * 0.91)
             prefix = round(total * 0.054)
-            post = total - in_sys - prefix
             rounds = spec.workers
             run_in = max(rounds + 1, round(in_sys * 0.003))
             blocked_total = round(in_sys * 0.82)
@@ -220,7 +251,6 @@ class _Gen:
                 t += run_slices[r + 1]
             out.append(self.ev(t, _LOCK_CPU, root, EventKind.SYSCALL_EXIT,
                                name=_LOCK_SYSCALL))
-            t += post
         else:
             prefix = round(total * 0.90)
             self.filler(out, _LOCK_CPU, root, t0, prefix, spec.filler_events)
@@ -230,19 +260,8 @@ class _Gen:
             t = t0 + total - 500
             out.append(self.ev(t, _LOCK_CPU, root, EventKind.SYSCALL_EXIT,
                                name="writev"))
-            t = t0 + total
-        t_end = t0 + total
-        out.append(self.ev(t_end, _LOCK_CPU, root, EventKind.SPAN_END,
-                           span_id=span_id))
-        self.now = t_end + 2_000
-        out.append(self.switch(self.now, _LOCK_CPU, root, "blocked", _LOCK_FILLER))
-        self.now += self.rng.randint(50_000, 150_000)
-        self.gt_spans.append({
-            "span_id": span_id, "label": "slow" if slow else "fast",
-            "injected_cause": "lock_contention" if slow else "none",
-            "expected_path": (["apache2", _LOCK_SYSCALL, "apache2#2"]
-                              if slow else ["apache2"]),
-        })
+        self.close_span(out, f, (50_000, 150_000), "lock_contention",
+                        ["apache2", _LOCK_SYSCALL, "apache2#2"])
         return out
 
     # -- cpu contention -------------------------------------------------------
@@ -263,11 +282,9 @@ class _Gen:
     def cpu_span(self, idx: int, span_id: str, slow: bool) -> list[TraceEvent]:
         spec = self.spec
         root = _CPU_ROOT_TID
-        total = self.jittered(self.slow_ns if slow else self.fast_ns)
-        out: list[TraceEvent] = []
         # periodic activation: a timer wake ends the inter-span sleep
-        out.append(self.ev(self.now, _CPU_CPU, _CPU_FILLER,
-                           EventKind.HRTIMER_EXPIRE_ENTRY))
+        out = [self.ev(self.now, _CPU_CPU, _CPU_FILLER,
+                       EventKind.HRTIMER_EXPIRE_ENTRY)]
         self.now += 500
         out.append(self.ev(self.now, _CPU_CPU, _CPU_FILLER, EventKind.SCHED_WAKEUP,
                            waker_tid=_CPU_FILLER, wakee_tid=root,
@@ -276,17 +293,15 @@ class _Gen:
         out.append(self.ev(self.now, _CPU_CPU, _CPU_FILLER,
                            EventKind.HRTIMER_EXPIRE_EXIT))
         self.now += 1_000
-        out.append(self.switch(self.now, _CPU_CPU, _CPU_FILLER, "runnable", root))
-        self.now += 1_000
-        t0 = self.now
-        out.append(self.ev(t0, _CPU_CPU, root, EventKind.SPAN_BEGIN, span_id=span_id))
+        f = self.open_span(out, _CPU_CPU, _CPU_FILLER, root, span_id, slow,
+                           lead=1_000)
+        t0, total = f.t0, f.total
         if slow:
             irq_ns = 20_000
             runnable = round(total * 8 / 9)
             running = total - irq_ns - runnable
             a1 = round(running * 0.45)
             a1b = round(running * 0.05)
-            a2 = running - a1 - a1b
             self.filler(out, _CPU_CPU, root, t0, a1, spec.filler_events)
             t = t0 + a1
             out.append(self.ev(t, _CPU_CPU, root, EventKind.IRQ_ENTRY, irq=_IRQ_LINE))
@@ -299,21 +314,10 @@ class _Gen:
             out.append(self.switch(t, _CPU_CPU, root, "runnable", _IRQ_TID))
             t += runnable
             out.append(self.switch(t, _CPU_CPU, _IRQ_TID, "blocked", root))
-            t += a2
         else:
             self.filler(out, _CPU_CPU, root, t0, total, spec.filler_events)
-        t_end = t0 + total
-        out.append(self.ev(t_end, _CPU_CPU, root, EventKind.SPAN_END,
-                           span_id=span_id))
-        self.now = t_end + 2_000
-        out.append(self.switch(self.now, _CPU_CPU, root, "blocked", _CPU_FILLER))
-        self.now += self.rng.randint(100_000, 300_000)
-        self.gt_spans.append({
-            "span_id": span_id, "label": "slow" if slow else "fast",
-            "injected_cause": "cpu_contention" if slow else "none",
-            "expected_path": (["ktimersoftd/3", "CPU", _IRQ_THREAD]
-                              if slow else ["ktimersoftd/3"]),
-        })
+        self.close_span(out, f, (100_000, 300_000), "cpu_contention",
+                        ["ktimersoftd/3", "CPU", _IRQ_THREAD])
         return out
 
     # -- disk contention --------------------------------------------------------
@@ -336,17 +340,12 @@ class _Gen:
         spec = self.spec
         root = 11_000 + idx
         self.register(root, "apache2")
-        total = self.jittered(self.slow_ns if slow else self.fast_ns)
         out: list[TraceEvent] = []
-        out.append(self.switch(self.now, _DISK_CPU, _DISK_FILLER, "runnable", root))
-        self.now += 2_000
-        t0 = self.now
-        out.append(self.ev(t0, _DISK_CPU, root, EventKind.SPAN_BEGIN,
-                           span_id=span_id))
+        f = self.open_span(out, _DISK_CPU, _DISK_FILLER, root, span_id, slow)
+        t0, total = f.t0, f.total
         if slow:
             in_sys = round(total * 0.90)
             prefix = round(total * 0.05)
-            post = total - in_sys - prefix
             eps = max(1_000, round(in_sys * 0.004))
             self.filler(out, _DISK_CPU, root, t0, prefix, spec.filler_events)
             t1 = t0 + prefix
@@ -367,7 +366,6 @@ class _Gen:
             t2 = t1 + in_sys
             out.append(self.ev(t2, _DISK_CPU, root, EventKind.SYSCALL_EXIT,
                                name=_DISK_SYSCALL))
-            t = t2 + post
         else:
             prefix = round(total * 0.45)
             self.filler(out, _DISK_CPU, root, t0, prefix, spec.filler_events)
@@ -377,19 +375,8 @@ class _Gen:
             t += round(total * 0.10)
             out.append(self.ev(t, _DISK_CPU, root, EventKind.SYSCALL_EXIT,
                                name=_DISK_SYSCALL))
-            t = t0 + total
-        t_end = t0 + total
-        out.append(self.ev(t_end, _DISK_CPU, root, EventKind.SPAN_END,
-                           span_id=span_id))
-        self.now = t_end + 2_000
-        out.append(self.switch(self.now, _DISK_CPU, root, "blocked", _DISK_FILLER))
-        self.now += self.rng.randint(50_000, 150_000)
-        self.gt_spans.append({
-            "span_id": span_id, "label": "slow" if slow else "fast",
-            "injected_cause": "disk_contention" if slow else "none",
-            "expected_path": (["apache2", _DISK_SYSCALL, "DISK", "grep"]
-                              if slow else ["apache2"]),
-        })
+        self.close_span(out, f, (50_000, 150_000), "disk_contention",
+                        ["apache2", _DISK_SYSCALL, "DISK", "grep"])
         return out
 
     def _disk_traffic(self, out: list[TraceEvent], tb: int, tw: int,
@@ -424,34 +411,36 @@ class _Gen:
                                dev=_DISK_DEV))
 
 
-def _span_emitters(gen: _Gen) -> tuple[list[Callable], list[TraceEvent]]:
-    scenario = gen.spec.scenario
-    prologue: list[TraceEvent] = []
-    if scenario in ("lock_contention", "mixed"):
-        prologue += gen.lock_prologue()
-    if scenario in ("cpu_contention", "mixed"):
-        prologue += gen.cpu_prologue()
-    if scenario in ("disk_contention", "mixed"):
-        prologue += gen.disk_prologue()
-    emitters = {"lock_contention": [gen.lock_span],
-                "cpu_contention": [gen.cpu_span],
-                "disk_contention": [gen.disk_span],
-                "mixed": [gen.lock_span, gen.cpu_span, gen.disk_span]}[scenario]
-    return emitters, prologue
+_LOCK = (_Gen.lock_prologue, _Gen.lock_span)
+_CPU = (_Gen.cpu_prologue, _Gen.cpu_span)
+_DISK = (_Gen.disk_prologue, _Gen.disk_span)
+
+# scenario -> (short name, fast and slow span ns before jitter, the
+# (prologue, span) emitters its spans are drawn from, prologues in order)
+_TABLE = {
+    "lock_contention": ("lock", 2_815_000, 40_148_000, (_LOCK,)),
+    "cpu_contention": ("cpu", 1_000_000, 9_000_000, (_CPU,)),
+    "disk_contention": ("disk", 3_000_000, 30_000_000, (_DISK,)),
+    "mixed": ("mixed", 2_815_000, 40_148_000, (_LOCK, _CPU, _DISK)),
+}
+SCENARIOS = tuple(_TABLE)
+_ALIASES = {row[0]: name for name, row in _TABLE.items()}
+# what --scenario accepts: the short names, then the long ones
+SCENARIO_NAMES = tuple(dict.fromkeys([*_ALIASES, *SCENARIOS]))
 
 
 def iter_events(spec: ScenarioSpec, gt_out: list[dict] | None = None) -> Iterator[TraceEvent]:
     """Stream the scenario's events; ground-truth records accumulate into
     gt_out (one per span, in emission order)."""
     gen = _Gen(spec)
-    emitters, prologue = _span_emitters(gen)
-    yield from prologue
+    *_, emitters = _TABLE[spec.scenario]
+    for prologue, _ in emitters:
+        yield from prologue(gen)
     for i in range(spec.n_spans):
-        emit = emitters[gen.rng.randrange(len(emitters))] if len(emitters) > 1 \
-            else emitters[0]
+        _, emit = emitters[gen.rng.randrange(len(emitters))] \
+            if len(emitters) > 1 else emitters[0]
         slow = gen.rng.random() < spec.slow_fraction
-        span_id = f"s{i:04d}"
-        yield from emit(i, span_id, slow)
+        yield from emit(gen, i, f"s{i:04d}", slow)
     if gt_out is not None:
         gt_out.extend(gen.gt_spans)
 
@@ -474,7 +463,4 @@ def generate_files(spec: ScenarioSpec, trace_path: str | Path,
     write the ground-truth JSON; each file is replaced atomically."""
     gt: list[dict] = []
     write_trace(iter_events(spec, gt), trace_path)
-    text = json.dumps(ground_truth_dict(spec, gt), ensure_ascii=False,
-                      indent=2, sort_keys=True) + "\n"
-    with atomic_output(ground_truth_path) as fh:
-        fh.write(text.encode("utf-8"))
+    atomic_write_text(ground_truth_path, json_text(ground_truth_dict(spec, gt)))

@@ -108,6 +108,12 @@ def test_kmeans_matches_reference_lloyd(seed):
     points = [[rng.uniform(0, 10) for _ in range(4)] for _ in range(200)]
     assign, _, _ = kmeans(points, 2, seed=seed)
     assert assign == lloyd_reference(points, 2, seed=seed)
+    # two distinct points for k=3: the nearest-centroid pass leaves a
+    # cluster empty, and both sides repair it by the same rule
+    dup = [points[i % 2] for i in range(12)]
+    assign, _, _ = kmeans(dup, 3, seed=seed)
+    assert sorted(set(assign)) == [0, 1, 2]
+    assert assign == lloyd_reference(dup, 3, seed=seed)
 
 
 def test_kmeans_objective_non_increasing():

@@ -93,16 +93,19 @@ def test_graph_fast_span_single_node_dot(lock_dir, tmp_path):
     assert dot.count("->") == 0 and "apache2" in dot
 
 
-def test_graph_slow_span_fcntl_label(lock_dir, tmp_path, capsys):
+@pytest.mark.parametrize("canonical", [False, True], ids=["plain", "canonical"])
+def test_graph_slow_span_fcntl_label(lock_dir, tmp_path, capsys, canonical):
     slow = next(s["span_id"] for s in _gt(lock_dir)["spans"] if s["label"] == "slow")
     out = tmp_path / "slow.dot"
     jout = tmp_path / "slow.json"
     rc = main(["graph", str(lock_dir / "trace.jsonl"), "--span", slow,
-               "--out", str(out), "--json", str(jout)])
+               "--out", str(out), "--json", str(jout),
+               *(["--canonical"] if canonical else [])])
     assert rc == 0
     dot = out.read_text()
-    m = re.search(r'-> "syscall:\d+:fcntl" \[label="\d+ µs \((\d+)%\)"\]', dot)
-    assert m and int(m.group(1)) >= 88, dot
+    m = re.search(r'-> "syscall:(\d+:)?fcntl" \[label="\d+ µs \((\d+)%\)"\]', dot)
+    assert m and int(m.group(2)) >= 88, dot
+    assert (m.group(1) is None) == canonical, dot  # canonical ids carry no tid
     dumped = json.loads(jout.read_text())
     assert any(n["label"] == "fcntl" for n in dumped["nodes"])
     assert "total" in capsys.readouterr().out
@@ -167,19 +170,24 @@ def _cluster_of(report_path: Path, label: str, gt: dict) -> int:
     raise AssertionError(label)
 
 
-def test_compare_cluster_with_itself_all_solid(lock_dir, cluster_report, tmp_path):
+@pytest.mark.parametrize("stat", ["count", "duration"])
+def test_compare_cluster_with_itself_all_solid(lock_dir, cluster_report, tmp_path,
+                                               stat):
     slow_cl = _cluster_of(cluster_report, "slow", _gt(lock_dir))
     out = tmp_path / "self.dot"
     jout = tmp_path / "self.json"
     rc = main(["compare", str(lock_dir / "trace.jsonl"),
                "--report", str(cluster_report),
                "--left", str(slow_cl), "--right", str(slow_cl),
-               "--out", str(out), "--json", str(jout)])
+               "--stat", stat, "--out", str(out), "--json", str(jout)])
     assert rc == 0
     diff = json.loads(jout.read_text())
+    assert diff["stat"] == stat
     assert diff["edges"], "slow cluster must produce edges"
     assert all(e["style"] == "solid" and e["boldness"] == 1
                for e in diff["edges"])
+    # every slow lock span waits the same number of times, for jittered times
+    assert all((e["left_std"] > 0) == (stat == "duration") for e in diff["edges"])
 
 
 def test_compare_fast_vs_slow_marks_fcntl(lock_dir, cluster_report, tmp_path):

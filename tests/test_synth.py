@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 
@@ -9,7 +10,7 @@ from waitgraph.analysis import extract_features
 from waitgraph.errors import InvalidParameter
 from waitgraph.events import extract_spans, read_trace, write_trace
 from waitgraph.states import build_state_db, thread_syscall_key
-from waitgraph.synth import ScenarioSpec, generate
+from waitgraph.synth import ScenarioSpec, generate, generate_files
 from conftest import slow_ids
 
 
@@ -122,3 +123,33 @@ def test_ground_truth_paths_present():
     for rec in gt["spans"]:
         assert rec["expected_path"][0] == "apache2"
         assert rec["expected_path"][1] == "fcntl"
+
+
+# sha256 of the trace and of ground_truth.json that generate_files writes
+# for 16 spans at default parameters; a change to the span frame, to one
+# scenario's body or to the scenario table must leave these unchanged
+_PINNED = {
+    ("lock", 3, "trace.jsonl"): (
+        "067b1e6c2bac6adc4b8c803e16ecc3b9a554f65b99c295bacb533fe06178f033",
+        "04ea1dc6b6c859dd8a5da8860e6aab4d1513900503ecce0ec6b5c4db26982e11"),
+    ("cpu", 4, "trace.jsonl"): (
+        "c0bd0cf5d2d15d2cac55e497b5a16e8468f27b64ad9ab4b83503db9ec98ab5d5",
+        "6ebf784f419810919c68beee1d11b302f1b98cf3fe175d283d969de2ea90b735"),
+    ("disk", 5, "trace.jsonl"): (
+        "ed6a81fd94b0196200ec2e00a5600dcee699937e942072ab007c58bf2cb70e86",
+        "2639f6e6a32671e9d0e9316b7af79b075e5a06f77e0ee4bcdacdb654c9a8dd52"),
+    ("mixed", 6, "trace.jsonl"): (
+        "60c2c73db31ee93b76e6c892b1bd4e7a7d824616be6ca8f0597e02ce320adcd6",
+        "66b2430aa53d1d5558bdc38cdfccf39bebc0ba96206b2af0d3d717beeb58aade"),
+    ("mixed", 6, "trace.jsonl.gz"): (
+        "6be1381344e054a162f0cbec6936584587222975dabe53a0b799d6ffa68537ea",
+        "66b2430aa53d1d5558bdc38cdfccf39bebc0ba96206b2af0d3d717beeb58aade"),
+}
+
+
+@pytest.mark.parametrize("scenario, seed, name", list(_PINNED))
+def test_generated_files_match_pinned_digests(tmp_path, scenario, seed, name):
+    trace, gt = tmp_path / name, tmp_path / "ground_truth.json"
+    generate_files(ScenarioSpec(scenario, seed=seed, n_spans=16), trace, gt)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (trace, gt))
+    assert digests == _PINNED[scenario, seed, name]
