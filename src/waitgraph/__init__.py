@@ -26,6 +26,7 @@ from .analysis import (
 from .errors import (
     EmptyCluster,
     EmptySpan,
+    InputError,
     InvalidParameter,
     MalformedRecord,
     NestingViolation,

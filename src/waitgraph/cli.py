@@ -16,32 +16,13 @@ import json
 import os
 import stat
 import sys
-from bisect import bisect_right
 from pathlib import Path
 
 from . import analysis, events, graph, states, synth
-from .errors import (
-    EmptySpan,
-    InvalidParameter,
-    MalformedRecord,
-    NestingViolation,
-    NonMonotonicTimestamp,
-    OverlappingSpan,
-    SwitchConflict,
-    TooFewSpans,
-    TraceAnalysisError,
-    UnknownEventKind,
-    UnmatchedEnd,
-)
-from .events import (EventKind, atomic_output, atomic_write_text, extract_spans,
-                     iter_trace, json_text)
+from .errors import InputError, InvalidParameter, TraceAnalysisError
+from .events import (atomic_output, atomic_write_text, extract_spans, iter_trace,
+                     json_text)
 from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up here)
-
-# bad inputs and parameters exit 2; remaining TraceAnalysisErrors exit 4
-_INPUT_ERRORS = (InvalidParameter, TooFewSpans, MalformedRecord,
-                 UnknownEventKind, NonMonotonicTimestamp, NestingViolation,
-                 SwitchConflict, UnmatchedEnd, OverlappingSpan, EmptySpan,
-                 OSError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +58,7 @@ def _sidecar_prefix(raw) -> bytes | None:
 
 
 def _read_sidecar(path: Path, prefix: bytes):
-    """The (db, markers) of a sidecar whose header matches, else None."""
+    """The state DB of a sidecar whose header matches, else None."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a directory, or a pipe whose open() would block
@@ -99,8 +80,8 @@ def _read_sidecar(path: Path, prefix: bytes):
         return None  # a body with a valid checksum that this code never wrote
 
 
-def _write_sidecar(path: Path, prefix: bytes, db, markers) -> None:
-    body = states._encode_state(db, markers)
+def _write_sidecar(path: Path, prefix: bytes, db) -> None:
+    body = states._encode_state(db)
     try:
         with atomic_output(path) as fh:
             fh.write(prefix + hashlib.sha256(body).hexdigest().encode() + b"\n")
@@ -110,12 +91,11 @@ def _write_sidecar(path: Path, prefix: bytes, db, markers) -> None:
 
 
 def _load_pipeline(trace_path: str):
-    """The trace's state DB and span markers.  They come from the sidecar
-    when it matches the trace bytes and this code; otherwise the trace is
-    folded in one streaming pass and, if the fold succeeds, the sidecar
-    is rewritten.  Non-regular files (pipes) are always folded."""
+    """The trace's state DB, span markers included.  It comes from the
+    sidecar when that matches the trace bytes and this code; otherwise the
+    trace is folded in one streaming pass and, if the fold succeeds, the
+    sidecar is rewritten.  Non-regular files (pipes) are always folded."""
     sidecar = Path(trace_path + ".wgstate")
-    markers = []
     with open(trace_path, "rb") as raw:
         prefix = None
         if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
@@ -124,17 +104,10 @@ def _load_pipeline(trace_path: str):
             if restored is not None:
                 return restored
             raw.seek(0)
-
-        def tapped():
-            for ev in iter_trace(raw):
-                if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END):
-                    markers.append(ev)
-                yield ev
-
-        db = states.build_state_db(tapped())
+        db = states.build_state_db(iter_trace(raw))
     if prefix is not None:
-        _write_sidecar(sidecar, prefix, db, markers)
-    return db, markers
+        _write_sidecar(sidecar, prefix, db)
+    return db
 
 
 def cmd_synth(args) -> int:
@@ -154,8 +127,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    db, markers = _load_pipeline(args.trace)
-    extraction = extract_spans(markers)
+    db = _load_pipeline(args.trace)
+    extraction = extract_spans(db.markers)
     span = next((s for s in extraction.spans if s.span_id == args.span), None)
     if span is None:
         raise _NotFound(f"span {args.span!r} not found in {args.trace}")
@@ -173,14 +146,10 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _features_by_span(db, extraction):
-    return {s.span_id: analysis.extract_features(db, s) for s in extraction.spans}
-
-
 def cmd_cluster(args) -> int:
-    db, markers = _load_pipeline(args.trace)
-    extraction = extract_spans(markers)
-    feats = _features_by_span(db, extraction)
+    db = _load_pipeline(args.trace)
+    extraction = extract_spans(db.markers)
+    feats = {s.span_id: analysis.extract_features(db, s) for s in extraction.spans}
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
     atomic_write_text(args.out, json_text(report))
@@ -216,8 +185,8 @@ def _report_clusters(path: str) -> dict[int, list[str]]:
 
 
 def cmd_compare(args) -> int:
-    db, markers = _load_pipeline(args.trace)
-    extraction = extract_spans(markers)
+    db = _load_pipeline(args.trace)
+    extraction = extract_spans(db.markers)
     by_cluster = _report_clusters(args.report)
     spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
@@ -244,25 +213,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _counter_rows(db, tid: int, counter: str, t_a: int, t_b: int):
-    """(start, end, total) of each counter step intersecting [t_a, t_b),
-    clipped; a step holds until the next one, the last until t_max."""
-    stamps, totals = db.counter_steps(tid, counter)
-    ends = stamps[1:] + [db.t_max]
-    for i in range(max(bisect_right(stamps, t_a) - 1, 0), len(stamps)):
-        if stamps[i] >= t_b:
-            break
-        if ends[i] > t_a:
-            yield max(stamps[i], t_a), min(ends[i], t_b), totals[i]
-
-
 def cmd_inspect(args) -> int:
-    db, _ = _load_pipeline(args.trace)
+    db = _load_pipeline(args.trace)
     t_a = args.from_ns if args.from_ns is not None else db.t_min
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
     if t_a >= t_b:
         raise InvalidParameter(f"--from {t_a} must be below --to {t_b}")
-    counter_keys = {f"thread/{tid}/{counter}": (tid, counter)
+    counter_keys = {states.thread_counter_key(tid, counter): (tid, counter)
                     for tid in db.comms for counter in states.COUNTERS
                     if db.counter_steps(tid, counter)[0]}
     lines = []
@@ -270,12 +227,11 @@ def cmd_inspect(args) -> int:
         if args.key and not key.startswith(args.key):
             continue
         if key in counter_keys:
-            rows = _counter_rows(db, *counter_keys[key], t_a, t_b)
+            rows = db.counter_range(*counter_keys[key], t_a, t_b)
         else:
-            rows = ((sv.start, sv.end, sv.value)
-                    for sv in db.query_range(key, t_a, t_b))
-        for start, end, value in rows:
-            lines.append(f"{key}\t[{start}, {end})\t{value}")
+            rows = db.query_range(key, t_a, t_b)
+        for sv in rows:
+            lines.append(f"{key}\t[{sv.start}, {sv.end})\t{sv.value}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         atomic_write_text(args.out, text)
@@ -350,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NotFound as exc:

@@ -7,7 +7,11 @@ class TraceAnalysisError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MalformedRecord(TraceAnalysisError):
+class InputError(TraceAnalysisError):
+    """Base class for bad input: a trace record, a span delimiter or a parameter."""
+
+
+class MalformedRecord(InputError):
     """A trace line could not be parsed or fails field validation."""
 
     def __init__(self, line: int, message: str):
@@ -15,14 +19,14 @@ class MalformedRecord(TraceAnalysisError):
         self.line = line
 
 
-class UnknownEventKind(TraceAnalysisError):
+class UnknownEventKind(InputError):
     def __init__(self, line: int, kind: str):
         super().__init__(f"line {line}: unknown event kind {kind!r}")
         self.line = line
         self.kind = kind
 
 
-class NonMonotonicTimestamp(TraceAnalysisError):
+class NonMonotonicTimestamp(InputError):
     def __init__(self, line: int, ts: int, prev_ts: int):
         super().__init__(f"line {line}: timestamp {ts} < previous {prev_ts}")
         self.line = line
@@ -30,26 +34,26 @@ class NonMonotonicTimestamp(TraceAnalysisError):
         self.prev_ts = prev_ts
 
 
-class NestingViolation(TraceAnalysisError):
+class NestingViolation(InputError):
     """Entry/exit events of one family do not nest (exit without entry, or
     mismatched exit): syscalls per thread, interrupts per CPU, block
     requests per device."""
 
 
-class SwitchConflict(TraceAnalysisError):
+class SwitchConflict(InputError):
     """A context switch contradicts the recorded CPU occupancy (two threads
     running on one CPU, or one thread running on two)."""
 
 
-class UnmatchedEnd(TraceAnalysisError):
+class UnmatchedEnd(InputError):
     """A span end delimiter was seen with no matching open begin."""
 
 
-class OverlappingSpan(TraceAnalysisError):
+class OverlappingSpan(InputError):
     """A span begin delimiter re-opened a span id that is still open."""
 
 
-class EmptySpan(TraceAnalysisError):
+class EmptySpan(InputError):
     """A span ends at or before the timestamp it began at."""
 
 
@@ -58,7 +62,7 @@ class RootConflict(TraceAnalysisError):
     cluster mixes spans whose root threads differ)."""
 
 
-class TooFewSpans(TraceAnalysisError):
+class TooFewSpans(InputError):
     """k-means was asked for more clusters than there are points."""
 
 
@@ -66,5 +70,5 @@ class EmptyCluster(TraceAnalysisError):
     """A representative graph was requested for an empty cluster."""
 
 
-class InvalidParameter(TraceAnalysisError):
+class InvalidParameter(InputError):
     """A scenario or CLI parameter is outside its allowed range."""

@@ -163,24 +163,6 @@ class SpanExtraction:
     open_spans: list[OpenSpan]
 
 
-def _open_stream(source) -> tuple[io.TextIOBase, bool]:
-    """Return a text stream over *source*, transparently ungzipping."""
-    if isinstance(source, (str, Path)):
-        raw: BinaryIO = open(source, "rb")
-        owns = True
-    elif isinstance(source, (bytes, bytearray)):
-        raw = io.BytesIO(bytes(source))
-        owns = True
-    else:
-        raw = source
-        owns = False
-    head = raw.read(2)
-    raw.seek(-len(head), io.SEEK_CUR)
-    if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8"), owns
-    return io.TextIOWrapper(raw, encoding="utf-8"), owns
-
-
 def _parse_line(line: str, lineno: int) -> TraceEvent:
     # Fast path: the scanner's value counts only when it ends exactly at the
     # line's newline.  Anything else (a decode error, leading whitespace or
@@ -354,8 +336,20 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
 
 
 def iter_trace(source) -> Iterator[TraceEvent]:
-    """Streaming variant of read_trace (same record checks, constant memory)."""
-    stream, owns = _open_stream(source)
+    """Streaming variant of read_trace (same record checks, constant memory).
+
+    A file object passed in stays open; the caller closes it."""
+    if isinstance(source, (str, Path)):
+        raw = opened = open(source, "rb")
+    elif isinstance(source, (bytes, bytearray)):
+        raw = opened = io.BytesIO(bytes(source))
+    else:
+        raw, opened = source, None
+    magic = raw.read(2)
+    raw.seek(-len(magic), io.SEEK_CUR)
+    if magic == b"\x1f\x8b":
+        raw = gzip.GzipFile(fileobj=raw)
+    stream = io.TextIOWrapper(raw, encoding="utf-8")
     prev_ts = -1
     parse = _parse_line
     lineno = 0
@@ -375,5 +369,12 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         bad_line = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
         raise MalformedRecord(bad_line, f"not UTF-8: {exc.reason}") from exc
     finally:
-        if owns:
-            stream.close()
+        if opened is not None:
+            stream.close()  # a gzip layer leaves the file under it open
+            opened.close()
+        elif not stream.closed:
+            # unhook the caller's file from the wrappers, which would close
+            # it when collected; a gzip layer over it closes without it
+            inner = stream.detach()
+            if inner is not source:
+                inner.close()

@@ -20,6 +20,9 @@ The cumulative counters of COUNTERS (page faults, bytes read, bytes
 written) are not intervals: each (tid, counter) is a pair of columns, the
 step timestamps (strictly increasing, all below t_max) and the running
 total from each step on.  ``counter_delta`` bisects them.
+
+The fold also keeps the span_begin/span_end events, in trace order, as
+``StateDatabase.markers``: the input of ``events.extract_spans``.
 """
 
 from __future__ import annotations
@@ -104,6 +107,10 @@ def disk_active_key(dev: str) -> str:
     return f"disk/{dev}/active_tid"
 
 
+def thread_counter_key(tid: int, counter: str) -> str:
+    return f"thread/{tid}/{counter}"
+
+
 # cumulative per-thread counters, by the event kind that bumps each
 _COUNTER_BY_KIND = {
     EventKind.PAGE_FAULT: "pagefaults",
@@ -149,15 +156,38 @@ DEFAULT_SOFTIRQ_REASONS = {
 }
 
 
+def _clip(key: str, starts: list[int], ends: list[int], values: list,
+          t_a: int, t_b: int) -> list[StateValue]:
+    """The disjoint, sorted intervals of the columns that intersect
+    [t_a, t_b), clipped to it."""
+    if t_a >= t_b:
+        raise ValueError(f"empty range [{t_a}, {t_b}): t_a must be < t_b")
+    # the hits are the interval holding t_a, if any, and every later one
+    # that starts before t_b
+    lo = bisect_right(starts, t_a) - 1
+    if lo < 0 or ends[lo] <= t_a:
+        lo += 1
+    hi = bisect_left(starts, t_b, lo)
+    # fresh slices: the first start and the last end are clipped in place
+    hit_starts, hit_ends = starts[lo:hi], ends[lo:hi]
+    if hit_starts:
+        hit_starts[0] = max(hit_starts[0], t_a)
+        hit_ends[-1] = min(hit_ends[-1], t_b)
+    return list(map(StateValue, hit_starts, hit_ends, repeat(key), values[lo:hi]))
+
+
 class StateDatabase:
-    """Immutable interval store with point and range queries."""
+    """Immutable interval store with point and range queries, and the
+    trace's span markers (``markers``, span_begin/span_end in trace order)."""
 
     def __init__(self, intervals: dict[str, IntervalColumns],
                  counters: dict[str, dict[int, CounterColumns]], comms: dict[int, str],
-                 t_min: int, t_max: int, events_consumed: int):
+                 t_min: int, t_max: int, events_consumed: int,
+                 markers: list[TraceEvent]):
         self._intervals = intervals
         self._counters = counters
         self._disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
+        self.markers = markers
         self.comms = comms
         self.t_min = t_min
         self.t_max = t_max
@@ -191,21 +221,9 @@ class StateDatabase:
 
     def query_range(self, key: str, t_a: int, t_b: int) -> list[StateValue]:
         """All intervals intersecting [t_a, t_b), clipped, ordered by start."""
-        if t_a >= t_b:
-            raise ValueError("query_range: t_a must be < t_b")
+        # unpacked here: a starred call costs a hot path about 10 % more
         starts, ends, values = self._intervals.get(key, _NO_INTERVALS)
-        # disjoint and sorted: the hits are the interval holding t_a, if
-        # any, and every later one that starts before t_b
-        lo = bisect_right(starts, t_a) - 1
-        if lo < 0 or ends[lo] <= t_a:
-            lo += 1
-        hi = bisect_left(starts, t_b, lo)
-        # fresh slices: the first start and the last end are clipped in place
-        hit_starts, hit_ends = starts[lo:hi], ends[lo:hi]
-        if hit_starts:
-            hit_starts[0] = max(hit_starts[0], t_a)
-            hit_ends[-1] = min(hit_ends[-1], t_b)
-        return list(map(StateValue, hit_starts, hit_ends, repeat(key), values[lo:hi]))
+        return _clip(key, starts, ends, values, t_a, t_b)
 
     def last_value_before(self, key: str, t: int) -> object | None:
         """Value of the most recent interval starting strictly before t."""
@@ -225,6 +243,15 @@ class StateDatabase:
         i_b = bisect_left(stamps, t_b)
         i_a = bisect_left(stamps, t_a)
         return (totals[i_b - 1] if i_b else 0) - (totals[i_a - 1] if i_a else 0)
+
+    def counter_range(self, tid: int, counter: str, t_a: int,
+                      t_b: int) -> list[StateValue]:
+        """The counter's running totals intersecting [t_a, t_b) as clipped
+        intervals keyed thread/{tid}/{counter}: a step holds until the next
+        one, the last until t_max."""
+        stamps, totals = self.counter_steps(tid, counter)
+        return _clip(thread_counter_key(tid, counter), stamps,
+                     stamps[1:] + [self.t_max], totals, t_a, t_b)
 
     # -- resource occupancy ------------------------------------------------
 
@@ -265,6 +292,7 @@ class _Builder:
         self._columns_by_kind = {k: self.counters[c]
                                  for k, c in _COUNTER_BY_KIND.items()}
         self.known_tids: set[int] = set()  # threads with a state
+        self.markers: list[TraceEvent] = []
         self.t_min: int | None = None
         self.t_max: int = 0
         self.count = 0
@@ -386,7 +414,8 @@ class _Builder:
             self.dev_fifo.setdefault(ev.payload["dev"], deque()).append((ev.tid, ev.ts))
         elif kind is EventKind.BLOCK_RQ_COMPLETE:
             self._on_rq_complete(ev)
-        # span_begin / span_end carry no state.
+        elif kind is EventKind.SPAN_BEGIN or kind is EventKind.SPAN_END:
+            self.markers.append(ev)  # no state of their own
 
     def _on_switch(self, ev: TraceEvent) -> None:
         t, cpu = ev.ts, ev.cpu
@@ -494,7 +523,7 @@ class _Builder:
                         del columns[tid]
         return StateDatabase(self.intervals, self.counters, self.comms,
                              self.t_min if self.t_min is not None else 0,
-                             end, self.count)
+                             end, self.count, self.markers)
 
 
 def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
@@ -514,6 +543,7 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
         disk/{dev}/active_tid service intervals.
       - page_fault / io_read / io_write: cumulative step-function counters,
         stored as per-thread columns (StateDatabase.counter_steps).
+      - span_begin / span_end: kept, in order, as StateDatabase.markers.
 
     This fold is the one nesting check: NestingViolation (naming ts=) for
     an exit that does not match the innermost open entry of its family,
@@ -531,11 +561,10 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
 # -- the CLI's state sidecar body ------------------------------------------
 
 
-def _encode_state(db: StateDatabase, markers: list[TraceEvent]) -> bytes:
-    """A database and the span markers folded beside it as columnar,
-    sorted-key JSON: per key the interval starts, the ends and an index
-    into one table of distinct values (a ThreadState is a [kind, reason,
-    waker_tid] list)."""
+def _encode_state(db: StateDatabase) -> bytes:
+    """A database, span markers included, as columnar, sorted-key JSON:
+    per key the interval starts, the ends and an index into one table of
+    distinct values (a ThreadState is a [kind, reason, waker_tid] list)."""
     table: dict[object, int] = {}
     intervals = {}
     with _gc_paused():
@@ -554,11 +583,11 @@ def _encode_state(db: StateDatabase, markers: list[TraceEvent]) -> bytes:
         "t_max": db.t_max,
         "events_consumed": db.events_consumed,
         "markers": [[ev.ts, ev.cpu, ev.tid, ev.comm, ev.kind.value,
-                     ev.payload["span_id"]] for ev in markers],
+                     ev.payload["span_id"]] for ev in db.markers],
     }, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _decode_state(body: str) -> tuple[StateDatabase, list[TraceEvent]]:
+def _decode_state(body: str) -> StateDatabase:
     """The inverse of _encode_state."""
     with _gc_paused():
         obj = json.loads(body)
@@ -571,6 +600,5 @@ def _decode_state(body: str) -> tuple[StateDatabase, list[TraceEvent]]:
                     for c in COUNTERS}
         markers = [TraceEvent(ts, cpu, tid, comm, EventKind(kind), {"span_id": span_id})
                    for ts, cpu, tid, comm, kind, span_id in obj["markers"]]
-        db = StateDatabase(intervals, counters, dict(obj["comms"]), obj["t_min"],
-                           obj["t_max"], obj["events_consumed"])
-    return db, markers
+        return StateDatabase(intervals, counters, dict(obj["comms"]), obj["t_min"],
+                             obj["t_max"], obj["events_consumed"], markers)

@@ -19,7 +19,7 @@ from waitgraph.analysis import (
     normalize_features,
     representative,
 )
-from waitgraph.errors import EmptyCluster, TooFewSpans
+from waitgraph.errors import EmptyCluster, RootConflict, TooFewSpans
 from waitgraph.events import extract_spans
 from waitgraph.graph import (
     DepEdge,
@@ -170,6 +170,13 @@ Y = ("syscall", "s")
 def test_representative_of_empty_cluster_raises():
     with pytest.raises(EmptyCluster):
         representative([])
+
+
+def test_representative_of_graphs_with_two_roots_raises():
+    other = ("thread", "other")
+    with pytest.raises(RootConflict, match="cluster mixes roots"):
+        representative([_graph_from([(R, X, 50, 1)]),
+                        _graph_from([(other, X, 50, 1)], root=other)])
 
 
 def test_representative_of_one_graph_is_itself_with_zero_std():

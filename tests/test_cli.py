@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waitgraph import cli, states
+from waitgraph import cli, errors, states
 from waitgraph.analysis import extract_features, representative
 from waitgraph.cli import main
 from waitgraph.graph import build_span_graph, canonicalize
@@ -116,6 +116,56 @@ def test_graph_missing_span_exits_3(lock_dir, tmp_path, capsys):
                "--out", str(tmp_path / "x.dot")])
     assert rc == 3
     assert "not found" in capsys.readouterr().err
+
+
+# every error class of errors.py, raised by a command, and its exit code
+_EXIT_BY_ERROR = [
+    (errors.InputError("bad input"), 2),
+    (errors.MalformedRecord(3, "bad ts/cpu/tid/comm field"), 2),
+    (errors.UnknownEventKind(3, "sched_banana"), 2),
+    (errors.NonMonotonicTimestamp(3, 5, 9), 2),
+    (errors.NestingViolation("ts=5: syscall_exit(read) on tid 1"), 2),
+    (errors.SwitchConflict("ts=5: cpu 0 runs tid 1"), 2),
+    (errors.UnmatchedEnd("span 'x' ended at ts=5 with no begin"), 2),
+    (errors.OverlappingSpan("span 'x' re-opened at ts=5"), 2),
+    (errors.EmptySpan("span 'x' ends at ts=5"), 2),
+    (errors.TooFewSpans("k=3 exceeds 2 points"), 2),
+    (errors.InvalidParameter("--from 5 must be below --to 5"), 2),
+    (errors.RootConflict("cluster mixes roots"), 4),
+    (errors.EmptyCluster("representative of zero graphs"), 4),
+    (errors.TraceAnalysisError("invariant breached"), 4),
+    (OSError(errno.ENOENT, "No such file or directory"), 2),
+    (cli._NotFound("span 'x' not found"), 3),
+]
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TraceAnalysisError)}
+    assert classes <= {type(exc) for exc, _ in _EXIT_BY_ERROR}
+
+
+@pytest.mark.parametrize("exc, code", _EXIT_BY_ERROR,
+                         ids=[type(exc).__name__ for exc, _ in _EXIT_BY_ERROR])
+def test_error_raised_by_a_command_exits_with_its_code(tmp_path, monkeypatch,
+                                                       capsys, exc, code):
+    def failing(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_inspect", failing)
+    assert main(["inspect", str(tmp_path / "trace.jsonl")]) == code
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+def test_readme_library_example_runs(lock_dir, tmp_path, monkeypatch, capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1] \
+        .split("```", 1)[0]
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "trace.jsonl").write_bytes(
+        (lock_dir / "trace.jsonl").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    assert capsys.readouterr().out.startswith("digraph")
 
 
 def test_graph_determinism(lock_dir, tmp_path):
@@ -610,8 +660,8 @@ def _run(argv: list[str], outputs: list[Path]) -> tuple:
         [path.read_bytes() if path.exists() else None for path in outputs]
 
 
-def _assert_same_state(restored, folded) -> None:
-    (db, markers), (ref, ref_markers) = restored, folded
+def _assert_same_state(db, ref, markers) -> None:
+    """db holds the state of ref, and both hold the trace's span markers."""
     assert db.keys() == ref.keys()
     for key in ref.keys():
         assert db.intervals(key) == ref.intervals(key), key
@@ -621,7 +671,8 @@ def _assert_same_state(restored, folded) -> None:
             assert db.counter_steps(tid, counter) == ref.counter_steps(tid, counter)
     assert (db.t_min, db.t_max, db.events_consumed) == \
         (ref.t_min, ref.t_max, ref.events_consumed)
-    assert extract_spans(markers) == extract_spans(ref_markers)
+    assert db.markers == ref.markers == markers
+    assert extract_spans(db.markers) == extract_spans(markers)
 
 
 @pytest.mark.parametrize("name", ["lock", "disk", "cpu", "mixed",
@@ -635,11 +686,11 @@ def test_sidecar_restores_the_folded_state(tmp_path, monkeypatch, name):
     write_trace(events, trace)
     markers = [ev for ev in events
                if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)]
-    folded = (build_state_db(events), markers)
+    ref = build_state_db(events)
     folds = _count_folds(monkeypatch)
-    _assert_same_state(cli._load_pipeline(str(trace)), folded)
+    _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
     assert _sidecar(trace).exists()
-    _assert_same_state(cli._load_pipeline(str(trace)), folded)
+    _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
     assert len(folds) == 1
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import json
+import warnings
 
 import pytest
 
@@ -184,6 +186,30 @@ def test_gzip_detected_by_magic():
     payload = _as_bytes(_switch(10, 1, 2))
     events = read_trace(gzip.compress(payload))
     assert len(events) == 1 and events[0].ts == 10
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_iter_trace_closes_only_the_files_it_opens(tmp_path, compress):
+    data = _as_bytes(_switch(10, 1, 2), _switch(20, 2, 1), _switch(30, 1, 2))
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(read_trace(path)) == 3
+        with open(path, "rb") as raw:
+            assert len(list(iter_trace(raw))) == 3
+            raw.seek(0)
+            stopped = iter_trace(raw)
+            next(stopped)
+            stopped.close()
+            gc.collect()
+            assert not raw.closed
+            raw.seek(0)
+            late = iter_trace(raw)
+            next(late)
+        late.close()  # after the caller closed its file
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_write_read_round_trip_random_trace():

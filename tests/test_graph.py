@@ -293,8 +293,9 @@ def test_min_edge_filter_is_display_only(lock_fixture):
     assert len(g.edges) == full.count("->")
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_edge_weights_match_brute_force(seed):
+def _random_walk(seed: int, max_depth: int) -> tuple[DepGraph, dict]:
+    """The graph of a random thread and window of a random trace, and the
+    brute-force edge weights under the same depth cap."""
     rng = random.Random(seed)
     events = random_trace(seed=seed, n_events=rng.randint(200, 700))
     db = build_state_db(events)
@@ -302,9 +303,21 @@ def test_edge_weights_match_brute_force(seed):
     root = rng.choice(tids)
     ts_s = rng.randint(db.t_min, db.t_max - 1)
     ts_e = rng.randint(ts_s + 1, db.t_max)
-    g = build_depgraph(db, root, ts_s, ts_e)
-    expected = brute_force_edge_weights(db, root, ts_s, ts_e)
+    return (build_depgraph(db, root, ts_s, ts_e, max_depth=max_depth),
+            brute_force_edge_weights(db, root, ts_s, ts_e, max_depth=max_depth))
+
+
+@pytest.mark.parametrize("seed, max_depth", [
+    pytest.param(seed, depth, id=str(seed) if depth == 16 else f"{seed}-depth{depth}")
+    for depth in (16, 2, 1) for seed in range(10)])
+def test_edge_weights_match_brute_force(seed, max_depth):
+    g, expected = _random_walk(seed, max_depth)
     assert edge_weights(g) == expected
+
+
+def test_small_depth_caps_truncate_the_random_walks():
+    # the capped cases above exercise the truncation branch of the walk
+    assert any(_random_walk(seed, 1)[0].depth_truncated for seed in range(10))
 
 
 # -- canonicalization -------------------------------------------------------------
