@@ -160,7 +160,8 @@ def kmeans(points: Sequence[Sequence[float]], k: int, seed: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     centroids = _seed_centroids(points, k, rng=random.Random(seed))
-    prev: list[int] | None = None
+    # each assignment seen, with the centroids computed from it
+    seen: dict[tuple[int, ...], list[list[float]]] = {}
     assign: list[int] = []
     for it in range(1, max_iter + 1):
         assign = [_nearest(p, centroids) for p in points]
@@ -178,15 +179,19 @@ def kmeans(points: Sequence[Sequence[float]], k: int, seed: int,
             sizes[assign[best_i]] -= 1
             assign[best_i] = c
             sizes[c] = 1
-        if assign == prev:
-            return assign, centroids, it
-        prev = assign
+        # a repeat ends the run: the previous assignment is a fixed point,
+        # an earlier one a cycle that empty-cluster repairs of tied points
+        # would otherwise follow until max_iter
+        key = tuple(assign)
+        if key in seen:
+            return assign, seen[key], it
         dims = len(points[0]) if points else 0
         centroids = []
         for c in range(k):
             members = [points[i] for i in range(n) if assign[i] == c]
             centroids.append([sum(m[d] for m in members) / len(members)
                               for d in range(dims)])
+        seen[key] = centroids
     return assign, centroids, max_iter
 
 

@@ -16,6 +16,7 @@ import json
 import os
 import stat
 import sys
+from array import array
 from pathlib import Path
 
 from . import analysis, events, graph, states, synth
@@ -36,8 +37,10 @@ class _NotFound(Exception):
 
 # A command's fold is kept in the sidecar TRACE.wgstate: a header line
 # (magic, sha256 of the trace bytes, of the source below and of the body)
-# and the states._encode_state body.  Any mismatch or unreadable sidecar
-# means a fold as if there were none; deleting the file is always safe.
+# and the states._encode_state body, a JSON index line and an int64 blob.
+# Any mismatch, unreadable sidecar or body that does not decode means a
+# fold as if there were none; deleting the file is always safe.  A fold
+# with a value beyond int64 writes no sidecar.
 _SIDECAR_MAGIC = b"waitgraph-state"
 _SIDECAR_SOURCES = (events.__file__, states.__file__, __file__)
 
@@ -66,26 +69,35 @@ def _read_sidecar(path: Path, prefix: bytes):
             head = fh.readline(len(prefix) + 65)
             if not head.startswith(prefix):
                 return None
-            body = fh.read()
+            index = fh.readline()
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            blob = array("q", [0]) * (size // 8)
+            if fh.readinto(blob) != size:
+                return None  # not a whole number of int64s, or cut short
     except OSError:
         return None
-    if head[len(prefix):] != hashlib.sha256(body).hexdigest().encode() + b"\n":
+    digest = hashlib.sha256(index)
+    digest.update(blob)
+    if head[len(prefix):] != digest.hexdigest().encode() + b"\n":
         return None
     try:
-        # the body is ASCII: drop its bytes so only the str is held while parsed
-        text = body.decode("ascii")
-        del body
-        return states._decode_state(text)
-    except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
+        return states._decode_state(index, blob)
+    except (ValueError, TypeError, LookupError, RecursionError):
         return None  # a body with a valid checksum that this code never wrote
 
 
 def _write_sidecar(path: Path, prefix: bytes, db) -> None:
-    body = states._encode_state(db)
+    try:
+        index, blob = states._encode_state(db)
+    except OverflowError:
+        return  # a value beyond int64: the next command folds again
+    digest = hashlib.sha256(index)
+    digest.update(blob)
     try:
         with atomic_output(path) as fh:
-            fh.write(prefix + hashlib.sha256(body).hexdigest().encode() + b"\n")
-            fh.write(body)
+            fh.write(prefix + digest.hexdigest().encode() + b"\n")
+            fh.write(index)
+            fh.write(blob)
     except OSError:
         pass  # a read-only directory, a directory in the way: no cache
 

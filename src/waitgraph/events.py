@@ -220,7 +220,8 @@ def _parse_line(line: str, lineno: int) -> TraceEvent:
 def read_trace(source) -> list[TraceEvent]:
     """Parse a JSONL trace into timestamp-ordered events.
 
-    *source* may be a path, raw bytes, or a seekable binary file object.
+    *source* may be a path, raw bytes, or a binary file object; a pipe
+    or FIFO will do, since the reader never seeks.
     Each record is checked on its own (JSON, fields, kind, UTF-8) and
     against its predecessor's timestamp; MalformedRecord, UnknownEventKind
     and NonMonotonicTimestamp carry the offending 1-based line number.
@@ -338,22 +339,25 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
 def iter_trace(source) -> Iterator[TraceEvent]:
     """Streaming variant of read_trace (same record checks, constant memory).
 
-    A file object passed in stays open; the caller closes it."""
-    if isinstance(source, (str, Path)):
-        raw = opened = open(source, "rb")
-    elif isinstance(source, (bytes, bytearray)):
-        raw = opened = io.BytesIO(bytes(source))
-    else:
-        raw, opened = source, None
-    magic = raw.read(2)
-    raw.seek(-len(magic), io.SEEK_CUR)
-    if magic == b"\x1f\x8b":
-        raw = gzip.GzipFile(fileobj=raw)
-    stream = io.TextIOWrapper(raw, encoding="utf-8")
-    prev_ts = -1
-    parse = _parse_line
+    A file object passed in stays open; the caller closes it.  It is read
+    forward only, so it may be a pipe."""
+    opened = buffered = stream = None
     lineno = 0
     try:
+        if isinstance(source, (str, Path)):
+            raw = opened = open(source, "rb")
+        elif isinstance(source, (bytes, bytearray)):
+            raw = opened = io.BytesIO(bytes(source))
+        else:
+            raw = source
+        if not hasattr(raw, "peek"):
+            raw = buffered = io.BufferedReader(raw)
+        # look at the gzip magic without consuming it: a pipe cannot seek back
+        if raw.peek(2)[:2] == b"\x1f\x8b":
+            raw = gzip.GzipFile(fileobj=raw)
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
+        prev_ts = -1
+        parse = _parse_line
         for lineno, line in enumerate(stream, start=1):
             head = line[0] if line else "\n"
             if head == "\n" or (head in " \t\r" and not line.strip()):
@@ -370,11 +374,16 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         raise MalformedRecord(bad_line, f"not UTF-8: {exc.reason}") from exc
     finally:
         if opened is not None:
-            stream.close()  # a gzip layer leaves the file under it open
+            if stream is not None:
+                stream.close()  # a gzip layer leaves the file under it open
             opened.close()
-        elif not stream.closed:
+        else:
             # unhook the caller's file from the wrappers, which would close
-            # it when collected; a gzip layer over it closes without it
-            inner = stream.detach()
-            if inner is not source:
-                inner.close()
+            # it when collected, unless the caller has closed it already; a
+            # gzip layer over it closes without it
+            if stream is not None and not stream.closed:
+                inner = stream.detach()
+                if inner is not source and inner is not buffered:
+                    inner.close()
+            if buffered is not None and not buffered.closed:
+                buffered.detach()

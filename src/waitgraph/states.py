@@ -23,16 +23,24 @@ total from each step on.  ``counter_delta`` bisects them.
 
 The fold also keeps the span_begin/span_end events, in trace order, as
 ``StateDatabase.markers``: the input of ``events.extract_spans``.
+
+The CLI keeps a fold in a sidecar whose body ``_encode_state`` writes: a
+JSON index line and one int64 blob of every column.  ``_decode_state``
+checks the whole body, then returns a database that cuts a key's columns
+out of the blob the first time the key is read, so a command pays only
+for the keys its queries touch.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, pairwise, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import NestingViolation, SwitchConflict
@@ -180,8 +188,8 @@ class StateDatabase:
     """Immutable interval store with point and range queries, and the
     trace's span markers (``markers``, span_begin/span_end in trace order)."""
 
-    def __init__(self, intervals: dict[str, IntervalColumns],
-                 counters: dict[str, dict[int, CounterColumns]], comms: dict[int, str],
+    def __init__(self, intervals: Mapping[str, IntervalColumns],
+                 counters: dict[str, Mapping[int, CounterColumns]], comms: dict[int, str],
                  t_min: int, t_max: int, events_consumed: int,
                  markers: list[TraceEvent]):
         self._intervals = intervals
@@ -559,46 +567,202 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
 
 
 # -- the CLI's state sidecar body ------------------------------------------
+#
+# The body is an index line and a blob.  The index is sorted-key JSON whose
+# lists are columns: the interval keys and their row counts, per counter
+# the tids and their row counts, the table of distinct interval values, the
+# comms, t_min, t_max, events_consumed and the span markers.  The interval
+# keys come in three families, each sorted: the int-valued keys (a tid or a
+# CPU), then thread/{tid}/syscall (a name), then thread/{tid}/state (a
+# ThreadState, stored as a [kind, reason, waker_tid] list); the value table
+# holds the families' distinct values in the same order, in three lists.
+# The blob is little-endian int64: every key's starts, then every key's
+# ends, then every key's index into the value table, then per counter every
+# tid's stamps, then every tid's totals.
+
+# True on a big-endian host, whose arrays swap to and from the blob's order
+_SWAP = array("q", [1]).tobytes()[0] != 1
+_MARKER_KINDS = {k.value: k for k in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)}
+# the ends of the int-valued keys: thread/{tid}/cpu, cpu/{n}/current_tid and
+# disk/{dev}/active_tid
+_INT_KEY_ENDS = ("/cpu", "/current_tid", "/active_tid")
 
 
-def _encode_state(db: StateDatabase) -> bytes:
-    """A database, span markers included, as columnar, sorted-key JSON:
-    per key the interval starts, the ends and an index into one table of
-    distinct values (a ThreadState is a [kind, reason, waker_tid] list)."""
+class _Columns(Mapping):
+    """Read-only key -> columns over one section of a sidecar blob.
+
+    The section holds ``width`` columns one after another, each with the
+    rows of every key in ``rows`` order.  A key's columns are cut out of
+    the blob (the last one mapped through ``table``, if given) the first
+    time the key is read, and kept."""
+
+    def __init__(self, blob: array, base: int, rows: dict, width: int,
+                 table: list | None):
+        self._blob = blob
+        self._rows = rows
+        self._at = dict(zip(rows, accumulate(rows.values(), initial=base)))
+        self._stride = sum(rows.values())
+        self._width = width
+        self._table = table
+        self._cut: dict = {}
+
+    def __getitem__(self, key):
+        cols = self._cut.get(key)
+        return cols if cols is not None else self._cut_out(key)
+
+    def get(self, key, default=None):
+        cols = self._cut.get(key)
+        if cols is None:
+            return self._cut_out(key) if key in self._at else default
+        return cols
+
+    def _cut_out(self, key) -> tuple:
+        at, n, stride, blob = self._at[key], self._rows[key], self._stride, self._blob
+        cols = [blob[a:a + n].tolist()
+                for a in range(at, at + self._width * stride, stride)]
+        if self._table is not None:
+            cols[-1] = list(map(self._table.__getitem__, cols[-1]))
+        cols = self._cut[key] = tuple(cols)
+        return cols
+
+    def __contains__(self, key) -> bool:
+        return key in self._at
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
+    """A database, span markers included, as a sidecar body: the index
+    line and the blob (see above), to be written one after the other.
+    Raises OverflowError when a start, end, stamp or total does not fit
+    in int64."""
+    families: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for key in sorted(db._intervals):
+        families[key.endswith("/syscall") + 2 * key.endswith("/state")].append(key)
+    keys = [key for family in families for key in family]
+    # the keys run family by family, so the table does too
     table: dict[object, int] = {}
-    intervals = {}
+    blob = array("q")
     with _gc_paused():
-        for key in sorted(db._intervals):
-            starts, ends, vals = db._intervals[key]
-            intervals[key] = [starts, ends, [table.setdefault(v, len(table)) for v in vals]]
-    values = [[v.kind.value, v.reason and v.reason.value, v.waker_tid]
-              if type(v) is ThreadState else v for v in table]
-    return json.dumps({
-        "intervals": intervals,
-        "values": values,
-        "counters": {c: [[tid, *cols] for tid, cols in db._counters[c].items()]
-                     for c in COUNTERS},
-        "comms": list(db.comms.items()),
-        "t_min": db.t_min,
-        "t_max": db.t_max,
-        "events_consumed": db.events_consumed,
-        "markers": [[ev.ts, ev.cpu, ev.tid, ev.comm, ev.kind.value,
-                     ev.payload["span_id"]] for ev in db.markers],
-    }, sort_keys=True, separators=(",", ":")).encode("ascii")
+        for col in (0, 1):
+            for key in keys:
+                blob.extend(db._intervals[key][col])
+        sizes = []
+        for family in families:
+            for key in family:
+                blob.extend([table.setdefault(v, len(table)) for v in db._intervals[key][2]])
+            sizes.append(len(table) - sum(sizes))
+        values = [[v.kind.value, v.reason and v.reason.value, v.waker_tid]
+                  if type(v) is ThreadState else v for v in table]
+        for c in COUNTERS:
+            for col in (0, 1):
+                for cols in db._counters[c].values():
+                    blob.extend(cols[col])
+        markers = [(ev.ts, ev.cpu, ev.tid, ev.comm, ev.kind.value, ev.payload["span_id"])
+                   for ev in db.markers]
+        index = json.dumps({
+            "intervals": [keys, [len(db._intervals[key][0]) for key in keys],
+                          [len(family) for family in families]],
+            "values": [values[:sizes[0]], values[sizes[0]:sizes[0] + sizes[1]],
+                       values[sizes[0] + sizes[1]:]],
+            "counters": {c: [list(db._counters[c]),
+                             [len(stamps) for stamps, _ in db._counters[c].values()]]
+                         for c in COUNTERS},
+            "comms": [list(db.comms), list(db.comms.values())],
+            "t_min": db.t_min,
+            "t_max": db.t_max,
+            "events_consumed": db.events_consumed,
+            "markers": list(map(list, zip(*markers))) or [[]] * 6,
+        }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    if _SWAP:
+        blob.byteswap()
+    return index, blob
 
 
-def _decode_state(body: str) -> StateDatabase:
-    """The inverse of _encode_state."""
+def _typed(column: object, kind: type) -> list:
+    """A JSON list that holds only values of type kind."""
+    if type(column) is not list or not set(map(type, column)) <= {kind}:
+        raise ValueError(f"not a list of {kind.__name__}")
+    return column
+
+
+def _rows(keys: object, counts: object, kind: type) -> dict:
+    """Row counts by key; the fold writes no empty column."""
+    rows = dict(zip(_typed(keys, kind), _typed(counts, int)))
+    if not len(keys) == len(counts) == len(rows) or (counts and min(counts) < 1):
+        raise ValueError("bad keys or row counts")
+    return rows
+
+
+def _thread_state(v: object) -> ThreadState:
+    kind, reason, waker = v
+    st = ThreadState(StateKind(kind), None if reason is None else BlockReason(reason),
+                     waker)
+    if (st.kind is StateKind.BLOCKED) != (reason is not None) \
+            or (st.reason in (BlockReason.TASK, BlockReason.FUTEX)) != (type(waker) is int) \
+            or not (waker is None or type(waker) is int):
+        raise ValueError(f"bad thread state {v!r}")
+    return st
+
+
+def _decode_state(index: bytes, blob: array) -> StateDatabase:
+    """The inverse of _encode_state, given the index line and the blob read
+    as int64s.  The whole body is checked here, so that every value a query
+    returns has the type the fold gives its key: the type of every index
+    field, each key's name against its family, the value table by family,
+    t_min <= t_max, row counts that are positive and add up to the blob,
+    and each key's value indices inside its family's part of the table.
+    Raises ValueError, TypeError or LookupError for a body that fails a
+    check."""
+    if _SWAP:
+        blob.byteswap()
     with _gc_paused():
-        obj = json.loads(body)
-        values = [ThreadState(StateKind(v[0]), v[1] and BlockReason(v[1]), v[2])
-                  if type(v) is list else v for v in obj["values"]]
-        intervals = {key: (starts, ends, list(map(values.__getitem__, index)))
-                     for key, (starts, ends, index) in obj["intervals"].items()}
-        counters = {c: {tid: (stamps, totals)
-                        for tid, stamps, totals in obj["counters"][c]}
-                    for c in COUNTERS}
-        markers = [TraceEvent(ts, cpu, tid, comm, EventKind(kind), {"span_id": span_id})
-                   for ts, cpu, tid, comm, kind, span_id in obj["markers"]]
-        return StateDatabase(intervals, counters, dict(obj["comms"]), obj["t_min"],
-                             obj["t_max"], obj["events_consumed"], markers)
+        obj = json.loads(index)
+        keys, counts, family_sizes = obj["intervals"]
+        intervals = _rows(keys, counts, str)
+        family_values = obj["values"]
+        ints, names, states = family_values
+        table = [*_typed(ints, int), *_typed(names, str), *map(_thread_state, states)]
+        key_ends = list(accumulate(_typed(family_sizes, int), initial=0))
+        if len(key_ends) != 4 or key_ends[3] != len(keys) \
+                or not all(k.endswith(_INT_KEY_ENDS) for k in keys[:key_ends[1]]) \
+                or not all(k.startswith("thread/") and k.endswith("/syscall")
+                           for k in keys[key_ends[1]:key_ends[2]]) \
+                or not all(k.startswith("thread/") and k.endswith("/state")
+                           and k[7:-6].isdecimal() for k in keys[key_ends[2]:]):
+            raise ValueError("a key is not in its family")
+        counter_rows = [_rows(*obj["counters"][c], int) for c in COUNTERS]
+        tids, comm_names = obj["comms"]
+        comms = dict(zip(_typed(tids, int), _typed(comm_names, str)))
+        bounds = obj["t_min"], obj["t_max"], obj["events_consumed"]
+        ts, cpus, marker_tids, marker_comms, kinds, span_ids = obj["markers"]
+        kinds = list(map(_MARKER_KINDS.__getitem__, _typed(kinds, str)))
+        if not len(tids) == len(comm_names) == len(comms) \
+                or not set(map(type, bounds)) <= {int} or bounds[0] > bounds[1] \
+                or len({len(ts), len(cpus), len(marker_tids), len(marker_comms),
+                        len(kinds), len(span_ids)}) != 1:
+            raise ValueError("bad comms, bounds or markers")
+        markers = list(map(TraceEvent, _typed(ts, int), _typed(cpus, int),
+                           _typed(marker_tids, int), _typed(marker_comms, str), kinds,
+                           [{"span_id": s} for s in _typed(span_ids, str)]))
+        n = sum(counts)
+        sizes = [2 * sum(rows.values()) for rows in counter_rows]
+        if 3 * n + sum(sizes) != len(blob):
+            raise ValueError("the row counts do not add up to the blob")
+        # each family's value indices fall in its own part of the table
+        row_ends = accumulate((sum(counts[a:b]) for a, b in pairwise(key_ends)),
+                              initial=2 * n)
+        table_ends = accumulate(map(len, family_values), initial=0)
+        for (at, to), (lo, hi) in zip(pairwise(row_ends), pairwise(table_ends)):
+            value_index = blob[at:to]
+            if value_index and not (lo <= min(value_index) and max(value_index) < hi):
+                raise ValueError("a value index is outside its family's table")
+        bases = accumulate(sizes, initial=3 * n)
+        counters = {c: _Columns(blob, base, rows, 2, None)
+                    for c, base, rows in zip(COUNTERS, bases, counter_rows)}
+        return StateDatabase(_Columns(blob, 0, intervals, 3, table), counters, comms,
+                             *bounds, markers)

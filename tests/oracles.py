@@ -325,7 +325,7 @@ def lloyd_reference(points, k: int, seed: int, max_iter: int = 100):
         dists = [sum((x - y) ** 2 for x, y in zip(p, c)) for c in centroids]
         return dists.index(min(dists))
 
-    prev = None
+    seen = []
     assign = []
     for _ in range(max_iter):
         assign = [nearest(p) for p in points]
@@ -343,9 +343,9 @@ def lloyd_reference(points, k: int, seed: int, max_iter: int = 100):
             sizes[assign[best_i]] -= 1
             assign[best_i] = c
             sizes[c] = 1
-        if assign == prev:
+        if assign in seen:  # a fixed point, or a cycle of repairs
             break
-        prev = assign
+        seen.append(assign)
         dims = len(points[0])
         centroids = []
         for c in range(k):

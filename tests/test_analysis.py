@@ -116,6 +116,17 @@ def test_kmeans_matches_reference_lloyd(seed):
     assert assign == lloyd_reference(dup, 3, seed=seed)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_stops_when_empty_cluster_repairs_cycle(seed):
+    # ties between the two distinct points let the repair undo itself, so
+    # the assignment can alternate instead of settling
+    rng = random.Random(seed)
+    points = [[rng.uniform(0, 10) for _ in range(4)] for _ in range(2)]
+    _, _, iterations = kmeans([points[i % 2] for i in range(12)], 3, seed=seed,
+                              max_iter=100)
+    assert iterations < 100
+
+
 def test_kmeans_objective_non_increasing():
     rng = random.Random(7)
     points = [[rng.uniform(0, 10) for _ in range(3)] for _ in range(120)]

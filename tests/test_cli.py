@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gzip
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -317,7 +319,7 @@ def test_inspect_counter_lines_match_event_scan(lock_dir, capsys):
     assert any(f", {t_b})" in line for line in window)
 
 
-def test_counters_beyond_int64(tmp_path, capsys):
+def test_counters_beyond_int64(tmp_path, capsys, monkeypatch):
     big = 2 ** 64
     records = [
         {"kind": "span_begin", "span_id": "s0", "ts": big},
@@ -332,9 +334,13 @@ def test_counters_beyond_int64(tmp_path, capsys):
     events = read_trace(trace)
     span, = extract_spans(events).spans
     assert extract_features(build_state_db(events), span).bytes_read == big
-    assert main(["inspect", str(trace), "--key", "thread/5/bytes_read"]) == 0
-    assert capsys.readouterr().out == \
-        f"thread/5/bytes_read\t[{big + 1}, {big + 3})\t{big}\n"
+    folds = _count_folds(monkeypatch)
+    for run in (1, 2):
+        assert main(["inspect", str(trace), "--key", "thread/5/bytes_read"]) == 0
+        assert capsys.readouterr().out == \
+            f"thread/5/bytes_read\t[{big + 1}, {big + 3})\t{big}\n"
+        # the sidecar's columns are int64: no sidecar, so every run folds
+        assert not _sidecar(trace).exists() and len(folds) == run
 
 
 def test_outputs_follow_the_umask(lock_dir, tmp_path):
@@ -848,3 +854,172 @@ def test_mutated_sidecar_never_changes_the_result(sidecar_case, data):
         sidecar[pos] = byte
     _sidecar(Path(argv[1])).write_bytes(bytes(sidecar))
     assert _run(argv, outputs) == expected
+
+
+def _split_sidecar(sidecar: bytes) -> tuple[list[bytes], dict, array]:
+    """The header fields, the decoded index and the int64 blob of a sidecar."""
+    head, rest = sidecar.split(b"\n", 1)
+    index, body = rest.split(b"\n", 1)
+    blob = array("q", body)
+    if sys.byteorder == "big":
+        blob.byteswap()
+    return head.split(b" "), json.loads(index), blob
+
+
+def _forge_sidecar(fields: list[bytes], index: bytes, body: bytes) -> bytes:
+    """A sidecar with the given body under a checksum that matches it."""
+    digest = hashlib.sha256(index + body).hexdigest().encode()
+    return b" ".join([*fields[:-1], digest]) + b"\n" + index + body
+
+
+def _forge(edit):
+    """A forgery that applies edit(index, blob) to the decoded body."""
+    def forge(good: bytes) -> bytes:
+        fields, index, blob = _split_sidecar(good)
+        edit(index, blob)
+        if sys.byteorder == "big":
+            blob.byteswap()
+        return _forge_sidecar(fields, json.dumps(index, sort_keys=True,
+                                                 separators=(",", ":")).encode() + b"\n",
+                              blob.tobytes())
+    return forge
+
+
+def _value_index(index: dict) -> int:
+    """Where the blob's value indices start: after every start and end."""
+    return 2 * sum(index["intervals"][1])
+
+
+def _set_value_index(value_of):
+    def edit(index, blob):
+        blob[_value_index(index)] = value_of(index)
+    return edit
+
+
+def _longer_last_column(index, blob):
+    index["intervals"][1][-1] += 1
+
+
+def _negative_length(index, blob):
+    rows = index["intervals"][1]
+    rows[1] += rows[0] + 1  # the total stays that of the blob
+    rows[0] = -1
+
+
+def _truncated_to_odd_bytes(good: bytes) -> bytes:
+    fields, _, _ = _split_sidecar(good)
+    index, body = good.split(b"\n", 1)[1].split(b"\n", 1)
+    return _forge_sidecar(fields, index + b"\n", body[:-3])
+
+
+def _index_not_json(good: bytes) -> bytes:
+    fields, _, _ = _split_sidecar(good)
+    body = good.split(b"\n", 2)[2]
+    return _forge_sidecar(fields, b"{not json\n", body)
+
+
+_FORGED_SIDECARS = {
+    "interval_column_past_blob": _forge(_longer_last_column),
+    "counter_column_past_blob": _forge(
+        lambda index, blob: index["counters"].__setitem__("pagefaults", [[1], [1]])),
+    "negative_length": _forge(_negative_length),
+    "value_index_negative": _forge(_set_value_index(lambda index: -1)),
+    "value_index_past_table": _forge(_set_value_index(
+        lambda index: sum(map(len, index["values"])))),
+    # the first key is int-valued; the table's next part holds syscall names
+    "value_index_in_another_family": _forge(_set_value_index(
+        lambda index: len(index["values"][0]))),
+    "int_value_not_int": _forge(lambda index, blob: index["values"][0].__setitem__(0, "x")),
+    "key_in_another_family": _forge(
+        lambda index, blob: index["intervals"][0].__setitem__(0, "thread/1/state")),
+    "state_key_without_tid": _forge(
+        lambda index, blob: index["intervals"][0].__setitem__(-1, "thread/x/state")),
+    "blob_not_int64s": _truncated_to_odd_bytes,
+    "index_not_json": _index_not_json,
+    "marker_kind": _forge(lambda index, blob: index["markers"][4].__setitem__(0, "page_fault")),
+    "thread_state": _forge(
+        lambda index, blob: index["values"][2].append(["blocked", None, None])),
+}
+
+
+@pytest.mark.parametrize("forgery", _FORGED_SIDECARS)
+def test_forged_sidecar_with_valid_checksum_folds_as_if_absent(small_lock_dir, tmp_path,
+                                                               monkeypatch, forgery):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+    outputs = [tmp_path / "g.dot"]
+    argv = ["graph", str(trace), "--span", "s0001", "--out", str(outputs[0])]
+    expected = _run(argv, outputs)
+    good = _sidecar(trace).read_bytes()
+    # the helpers rebuild an untouched sidecar byte for byte, so a forgery
+    # differs from the good sidecar by its one edit alone
+    assert _forge(lambda index, blob: None)(good) == good
+    forged = _FORGED_SIDECARS[forgery](good)
+    assert forged != good
+    _sidecar(trace).write_bytes(forged)
+    folds = _count_folds(monkeypatch)
+    assert _run(argv, outputs) == expected
+    assert len(folds) == 1
+    assert _sidecar(trace).read_bytes() == good
+
+
+class _Recording(dict):
+    """A dict that records every key looked up."""
+
+    def __init__(self, data, seen: set):
+        super().__init__(data)
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_restored_state_decodes_only_the_keys_a_graph_reads(tmp_path, monkeypatch):
+    events, gt = generate(ScenarioSpec("disk", seed=4, n_spans=200))
+    trace = tmp_path / "trace.jsonl"
+    write_trace(events, trace)
+    span_id = next(s["span_id"] for s in gt["spans"] if s["label"] == "slow")
+    argv = ["graph", str(trace), "--span", span_id, "--out", str(tmp_path / "g.dot")]
+    assert main(argv) == 0
+    restored = []
+    decode = states._decode_state
+
+    def keep(index, blob):
+        restored.append(decode(index, blob))
+        assert restored[-1]._intervals._cut == {}  # nothing decoded up front
+        assert all(c._cut == {} for c in restored[-1]._counters.values())
+        return restored[-1]
+    monkeypatch.setattr(states, "_decode_state", keep)
+    assert main(argv) == 0
+    db, = restored
+    # the same walk over the fold, recording the keys it looks up
+    ref = build_state_db(events)
+    seen_keys, seen_tids = set(), set()
+    ref._intervals = _Recording(ref._intervals, seen_keys)
+    ref._counters = {c: _Recording(cols, seen_tids) for c, cols in ref._counters.items()}
+    span = next(s for s in extract_spans(events).spans if s.span_id == span_id)
+    build_span_graph(ref, span)
+    decoded = set(db._intervals._cut)
+    assert decoded == seen_keys & set(ref.keys())
+    assert set().union(*(c._cut for c in db._counters.values())) <= seen_tids
+    assert 0 < len(decoded) < len(ref.keys()) / 10
+
+
+def test_inspect_reads_a_trace_from_a_pipe(small_lock_dir):
+    trace = small_lock_dir / "trace.jsonl"
+    env = {"PYTHONPATH": str(SRC)}
+    from_file = subprocess.run(
+        [sys.executable, "-m", "waitgraph.cli", "inspect", str(trace)],
+        capture_output=True, env=env)
+    assert from_file.returncode == 0 and from_file.stdout
+    for data in (trace.read_bytes(), gzip.compress(trace.read_bytes())):
+        piped = subprocess.run(
+            [sys.executable, "-m", "waitgraph.cli", "inspect", "/dev/stdin"],
+            input=data, capture_output=True, env=env)
+        assert (piped.returncode, piped.stdout, piped.stderr) == \
+            (0, from_file.stdout, from_file.stderr)

@@ -4,6 +4,8 @@ import gc
 import gzip
 import io
 import json
+import os
+import threading
 import warnings
 
 import pytest
@@ -210,6 +212,38 @@ def test_iter_trace_closes_only_the_files_it_opens(tmp_path, compress):
         late.close()  # after the caller closed its file
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_read_trace_from_a_fifo(tmp_path, compress):
+    data = _as_bytes(_switch(10, 1, 2), _switch(20, 2, 1), _switch(30, 1, 2))
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(gzip.compress(data) if compress else data)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events = read_trace(fifo)
+            gc.collect()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert events == read_trace(data)
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_iter_trace_leaves_an_unbuffered_caller_file_open():
+    data = _as_bytes(_switch(10, 1, 2), _switch(20, 2, 1))
+    for payload in (data, gzip.compress(data)):
+        buf = io.BytesIO(payload)
+        assert list(iter_trace(buf)) == read_trace(data)
+        gc.collect()
+        assert not buf.closed
 
 
 def test_write_read_round_trip_random_trace():
