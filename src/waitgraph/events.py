@@ -12,6 +12,11 @@ compressed (detected by magic bytes).  Required keys on every record:
 plus the kind-specific payload keys listed in ``PAYLOAD_FIELDS``.  Unknown
 extra keys are ignored on read.  All durations inside the package are
 integer nanoseconds; user-facing output is microseconds.
+
+A counter line (page_fault, io_read, io_write) exactly as write_trace
+writes it is decoded by one regular expression instead of the JSON
+scanner; every other line goes through the JSON path.  Both give the
+same record, so the choice changes no event and no error.
 """
 
 from __future__ import annotations
@@ -21,11 +26,15 @@ import gzip
 import io
 import json
 import os
+import re
 import secrets
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, tee
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -109,6 +118,17 @@ _KIND_BY_VALUE = {k.value: k for k in EventKind}
 
 # the C scanner json.loads itself runs, called without its wrapper
 _scan_once = json.JSONDecoder().scan_once
+
+# A counter line as write_trace writes it, newline included.  Numbers are
+# JSON integers of at most 18 digits (no sign, no leading zero), comm is a
+# non-empty JSON string with no escape, and tid >= 1: the line decodes to
+# what json.loads and _parse_line's checks would give, so nothing needs
+# re-checking.  A line outside this language takes the JSON path.
+_match_counter_line = re.compile(
+    r'\{"ts":(0|[1-9][0-9]{0,17}),"cpu":(0|[1-9][0-9]{0,17}),'
+    r'"tid":([1-9][0-9]{0,17}),"comm":"([^"\\\x00-\x1f]+)",'
+    r'"kind":"(?:page_fault"|(io_read|io_write)","bytes":(0|[1-9][0-9]{0,17}))\}\n'
+).fullmatch
 
 
 @dataclass(slots=True)
@@ -273,10 +293,16 @@ def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Replace path atomically with text in UTF-8, creating its directory."""
+    """Write text in UTF-8 to path, creating its directory.  A regular or
+    missing file is replaced atomically, through any symlink; anything else
+    that exists (a FIFO, a device) is opened and written through."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_output(path) as fh:
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    with atomic_output(os.path.realpath(path)) if regular else open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
 
 
@@ -305,6 +331,9 @@ def _write_lines(events: Iterable[TraceEvent], fh) -> None:
         fh.write("\n")
 
 
+_MARKER_KINDS = frozenset((EventKind.SPAN_BEGIN, EventKind.SPAN_END))
+
+
 def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     """Collect the execution spans delimited by span_begin/span_end events.
 
@@ -314,24 +343,24 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     no open begin, OverlappingSpan when a span id is re-opened and EmptySpan
     for an end at or before its begin's timestamp.
     """
-    open_by_key: dict[str, OpenSpan] = {}
-    order: list[str] = []
+    open_by_key: dict[str, tuple[int, int]] = {}  # span_id -> (root_tid, t_start)
     done: list[ExecutionSpan] = []
-    for ev in events:
-        kind = ev.kind
-        if kind is EventKind.SPAN_BEGIN:
-            key = ev.payload["span_id"]
+    # pick the markers out at C speed; tee keeps a one-shot iterator streaming
+    events, kinds = tee(events)
+    for ev in compress(events, map(_MARKER_KINDS.__contains__,
+                                   map(attrgetter("kind"), kinds))):
+        key = ev.payload["span_id"]
+        if ev.kind is EventKind.SPAN_BEGIN:
             if key in open_by_key:
                 raise OverlappingSpan(f"span {key!r} re-opened at ts={ev.ts}")
-            open_by_key[key] = OpenSpan(key, ev.tid, ev.ts)
-            order.append(key)
-        elif kind is EventKind.SPAN_END:
-            key = ev.payload["span_id"]
+            open_by_key[key] = (ev.tid, ev.ts)
+        else:
             opened = open_by_key.pop(key, None)
             if opened is None:
                 raise UnmatchedEnd(f"span {key!r} ended at ts={ev.ts} with no begin")
-            done.append(ExecutionSpan(key, opened.root_tid, opened.t_start, ev.ts))
-    still_open = [open_by_key[k] for k in order if k in open_by_key]
+            done.append(ExecutionSpan(key, opened[0], opened[1], ev.ts))
+    # a dict keeps insertion order: the spans left open, in begin order
+    still_open = [OpenSpan(key, tid, ts) for key, (tid, ts) in open_by_key.items()]
     done.sort(key=lambda s: (s.t_start, s.span_id))
     return SpanExtraction(spans=done, open_spans=still_open)
 
@@ -358,11 +387,25 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         stream = io.TextIOWrapper(raw, encoding="utf-8")
         prev_ts = -1
         parse = _parse_line
+        match = _match_counter_line
+        page_fault = EventKind.PAGE_FAULT
+        kinds = _KIND_BY_VALUE
+        intern = sys.intern
         for lineno, line in enumerate(stream, start=1):
-            head = line[0] if line else "\n"
-            if head == "\n" or (head in " \t\r" and not line.strip()):
-                continue
-            ev = parse(line, lineno)
+            m = match(line)
+            if m is not None:
+                ts, cpu, tid, comm, io_kind, nbytes = m.groups()
+                if io_kind is None:
+                    ev = TraceEvent(int(ts), int(cpu), int(tid), intern(comm),
+                                    page_fault, {})
+                else:
+                    ev = TraceEvent(int(ts), int(cpu), int(tid), intern(comm),
+                                    kinds[io_kind], {"bytes": int(nbytes)})
+            else:
+                head = line[0] if line else "\n"
+                if head == "\n" or (head in " \t\r" and not line.strip()):
+                    continue
+                ev = parse(line, lineno)
             if ev.ts < prev_ts:
                 raise NonMonotonicTimestamp(lineno, ev.ts, prev_ts)
             prev_ts = ev.ts

@@ -10,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -465,6 +466,68 @@ def test_output_under_regular_file_exits_2(lock_dir, tmp_path, capsys):
     blocker.write_text("")
     _exits_2(["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000",
               "--out", str(blocker / "sub" / "x.dot")], capsys)
+
+
+def _graph_argv(lock_dir: Path, out: Path) -> list[str]:
+    return ["graph", str(lock_dir / "trace.jsonl"), "--span", "s0000", "--out", str(out)]
+
+
+def _reference_dot(lock_dir: Path, tmp_path: Path) -> bytes:
+    ref = tmp_path / "ref" / "g.dot"
+    assert main(_graph_argv(lock_dir, ref)) == 0
+    return ref.read_bytes()
+
+
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "symlink_to_fifo"])
+def test_out_writes_through_a_fifo(lock_dir, tmp_path, via_link):
+    expected = _reference_dot(lock_dir, tmp_path)
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    out = fifo
+    if via_link:
+        out = tmp_path / "g.dot"
+        out.symlink_to(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert main(_graph_argv(lock_dir, out)) == 0
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # nothing opened the FIFO: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert out.is_symlink() == via_link
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted({"ref", "g.fifo", out.name})
+
+
+def test_out_through_a_symlink_replaces_its_target(lock_dir, tmp_path):
+    expected = _reference_dot(lock_dir, tmp_path)
+    target = tmp_path / "target.dot"
+    target.write_text("old\n")
+    link = tmp_path / "g.dot"
+    link.symlink_to(target.name)
+    assert main(_graph_argv(lock_dir, link)) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.dot", "ref", "target.dot"]
+
+
+def test_out_directory_exits_2_naming_only_it(lock_dir, tmp_path, capsys):
+    out = tmp_path / "g.dot"
+    out.mkdir()
+    err = _exits_2(_graph_argv(lock_dir, out), capsys)
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: " \
+                  f"{str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == [out] and not list(out.iterdir())
 
 
 def test_non_utf8_trace_exits_2_with_line(lock_dir, tmp_path, capsys):

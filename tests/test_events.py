@@ -7,10 +7,15 @@ import json
 import os
 import threading
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waitgraph import events as events_mod
 from waitgraph.errors import (
+    InputError,
     MalformedRecord,
     NestingViolation,
     NonMonotonicTimestamp,
@@ -21,6 +26,7 @@ from waitgraph.errors import (
 from waitgraph.events import (
     PAYLOAD_FIELDS,
     EventKind,
+    OpenSpan,
     TraceEvent,
     extract_spans,
     iter_trace,
@@ -291,6 +297,25 @@ def test_line_that_json_loads_rejects_fails_at_its_line(text, message):
     assert str(exc.value) == message
 
 
+# -- canonical counter lines take a regex path with the JSON path's results ----
+
+def _outcome(data: bytes):
+    """read_trace's events, or the class and text of the error it raised."""
+    try:
+        return read_trace(data)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _slow_outcome(data: bytes):
+    with mock.patch.object(events_mod, "_match_counter_line", lambda line: None):
+        return _outcome(data)
+
+
+def _assert_both_paths_agree(data: bytes) -> None:
+    assert _outcome(data) == _slow_outcome(data)
+
+
 def _events_by_json_loads(text: str) -> list[TraceEvent]:
     events = []
     for line in text.splitlines():
@@ -301,14 +326,133 @@ def _events_by_json_loads(text: str) -> list[TraceEvent]:
     return events
 
 
+def _trace_text(evs) -> bytes:
+    buf = io.StringIO()
+    write_trace(evs, buf)
+    return buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_synth_trace_parses_like_json_loads_per_line(scenario):
     events, _ = generate(ScenarioSpec(scenario, seed=4, n_spans=12))
-    buf = io.StringIO()
-    write_trace(events, buf)
-    reference = _events_by_json_loads(buf.getvalue())
-    assert read_trace(buf.getvalue().encode()) == reference
+    data = _trace_text(events)
+    reference = _events_by_json_loads(data.decode())
+    assert b'"kind":"page_fault"' in data
+    assert read_trace(data) == reference
+    assert _slow_outcome(data) == reference
     assert reference == events
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_trace_reads_the_same_without_the_counter_path(seed):
+    _assert_both_paths_agree(_trace_text(random_trace(seed, 600, with_spans=True)))
+
+
+_COUNTER = '{"ts":5,"cpu":1,"tid":7,"comm":"w","kind":"io_read","bytes":8}\n'
+
+
+@pytest.mark.parametrize("line, fast", [
+    (_COUNTER, True),
+    ('{"ts":5,"cpu":1,"tid":7,"comm":"w","kind":"page_fault"}\n', True),
+    (_COUNTER.replace("io_read", "io_write"), True),
+    (_COUNTER.replace('"ts":5', '"ts":0').replace('"bytes":8', '"bytes":0'), True),
+    (_COUNTER.replace('"ts":5', '"ts":05'), False),
+    (_COUNTER.replace('"ts":5', '"ts":' + "9" * 18), True),
+    (_COUNTER.replace('"ts":5', '"ts":' + "9" * 19), False),
+    (_COUNTER.replace('"bytes":8', '"bytes":' + "1" * 19), False),
+    (_COUNTER.replace('"ts":5', '"ts":-0'), False),
+    (_COUNTER.replace('"ts":5', '"ts":5.0'), False),
+    (_COUNTER.replace('"tid":7', '"tid":0'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":"w\\u0041"'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":"w\\\\"'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":"w\\"x"'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":"w\tx"'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":""'), False),
+    (_COUNTER.replace('"comm":"w"', '"comm":"kworker/ü:線"'), True),
+    (_COUNTER.replace('"comm":"w"', '"comm":"w\x7f"'), True),
+    (_COUNTER.replace("io_read", "page_fault"), False),
+    (_COUNTER.replace(',"bytes":8', ""), False),
+    (_COUNTER.replace("}", ',"vendor":1}'), False),
+    (_COUNTER.replace('"ts":5,"cpu":1', '"cpu":1,"ts":5'), False),
+    (_COUNTER.replace(",", ", "), False),
+    (_COUNTER.replace("}", "} "), False),
+    (_COUNTER[:-1], False),
+    # the text layer hands the line over with its ending translated to "\n"
+    (_COUNTER.replace("\n", "\r\n"), True),
+], ids=["io_read", "page_fault", "io_write", "zeros", "leading_zero", "18_digits",
+        "19_digits", "19_digit_bytes", "minus_zero", "float", "tid_0",
+        "escape_u", "escaped_backslash", "escaped_quote", "control_char",
+        "empty_comm", "non_ascii_comm", "del_char", "page_fault_with_bytes",
+        "io_read_without_bytes", "extra_key", "swapped_keys", "spaces",
+        "trailing_blank", "no_final_newline", "crlf"])
+def test_which_lines_take_the_counter_path(line, fast):
+    taken = []
+
+    def spy(text):
+        m = match(text)
+        taken.append(m is not None)
+        return m
+    match = events_mod._match_counter_line
+    data = line.encode()
+    with mock.patch.object(events_mod, "_match_counter_line", spy):
+        got = _outcome(data)
+    assert taken == [fast]
+    assert got == _slow_outcome(data)
+
+
+# mostly values the counter path takes; 0 (no valid tid) and the 18/19-digit edge
+_digits = st.one_of(st.integers(1, 10 ** 6),
+                    st.sampled_from([0, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 10 ** 19]))
+# names, and text rich in what JSON escapes or the counter path refuses
+_comms = st.one_of(st.sampled_from(["apache2", "kworker/0:1", "w"]),
+                   st.text('aZ0/: é線"\\\x00\t\x1f\x7f', max_size=5),
+                   st.text(max_size=6))
+
+
+@st.composite
+def _counter_records(draw) -> dict:
+    """A counter record with its keys in write_trace's order."""
+    rec = {"ts": draw(_digits), "cpu": draw(_digits), "tid": draw(_digits),
+           "comm": draw(_comms),
+           "kind": draw(st.sampled_from(["page_fault", "io_read", "io_write"]))}
+    if rec["kind"] != "page_fault":
+        rec["bytes"] = draw(_digits)
+    return rec
+
+
+def _canonical_lines(records) -> bytes:
+    return "".join(json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n"
+                   for rec in records).encode()
+
+
+@given(records=st.lists(_counter_records(), min_size=1, max_size=4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_canonical_counter_lines_read_the_same_on_both_paths(records):
+    _assert_both_paths_agree(_canonical_lines(records))
+
+
+@given(records=st.lists(_counter_records(), min_size=1, max_size=3), data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_mutated_counter_lines_fail_alike_on_both_paths(records, data):
+    text = bytearray(_canonical_lines(records))
+    mutation = data.draw(st.sampled_from(["flip", "insert", "sign_or_zero", "crlf",
+                                          "no_newline"]))
+    if mutation == "crlf":
+        text = bytearray(bytes(text).replace(b"\n", b"\r\n"))
+    elif mutation == "no_newline":
+        del text[-1]
+    elif mutation == "sign_or_zero":  # "-" or a leading "0" before a value
+        colons = [i for i, b in enumerate(text) if b == ord(":")]
+        text.insert(data.draw(st.sampled_from(colons)) + 1,
+                    data.draw(st.sampled_from(b"-0")))
+    else:
+        pos = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.integers(0, 255))
+        if mutation == "flip":
+            text[pos] = byte
+        else:
+            text.insert(pos, byte)
+    _assert_both_paths_agree(bytes(text))
 
 
 def _span_ev(ts, tid, kind, span_id, cpu=0):
@@ -377,3 +521,32 @@ def test_concatenation_equals_union():
     assert sorted(merged, key=lambda s: s.span_id) == \
         sorted(parts, key=lambda s: s.span_id)
 
+
+def _checked_marker_stream(evs):
+    """evs one at a time, failing the test if anything asks past the end."""
+    yield from evs
+    raise AssertionError("read past the last event")
+
+
+def test_extract_spans_of_a_one_shot_iterator_matches_the_list():
+    evs = generate(ScenarioSpec("mixed", seed=2, n_spans=10))[0]
+    assert extract_spans(iter(evs)) == extract_spans(evs)
+
+
+def test_extract_spans_stops_at_the_first_bad_marker():
+    # an iterator copied into a list first would be read past the error
+    evs = [_span_ev(0, 5, EventKind.SPAN_BEGIN, "a"),
+           _span_ev(10, 5, EventKind.SPAN_BEGIN, "a")]
+    with pytest.raises(OverlappingSpan):
+        extract_spans(_checked_marker_stream(evs))
+
+
+def test_span_reopened_after_its_end_is_open_once():
+    events = [
+        _span_ev(0, 5, EventKind.SPAN_BEGIN, "a"),
+        _span_ev(10, 5, EventKind.SPAN_END, "a"),
+        _span_ev(20, 6, EventKind.SPAN_BEGIN, "a"),
+    ]
+    got = extract_spans(events)
+    assert [(s.span_id, s.t_start, s.t_end) for s in got.spans] == [("a", 0, 10)]
+    assert got.open_spans == [OpenSpan("a", 6, 20)]
