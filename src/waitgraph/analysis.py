@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyCluster, InvalidParameter, RootConflict, TooFewSpans
@@ -47,10 +48,11 @@ class FeatureVector:
     total_us: float = 0.0
 
     def as_list(self) -> list[float]:
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(_feature_values(self))
 
 
 FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
+_feature_values = attrgetter(*FEATURE_NAMES)
 
 
 def extract_features(db: StateDatabase, span: ExecutionSpan) -> FeatureVector:
@@ -62,10 +64,10 @@ def extract_features(db: StateDatabase, span: ExecutionSpan) -> FeatureVector:
         counts[cat] = counts.get(cat, 0) + 1
         durs[cat] = durs.get(cat, 0) + ns
 
-    for sv in db.query_range(thread_state_key(span.root_tid),
-                             span.t_start, span.t_end):
-        st = sv.value
-        ns = sv.duration_ns
+    starts, ends, states = db.range_columns(thread_state_key(span.root_tid),
+                                            span.t_start, span.t_end)
+    for start, end, st in zip(starts, ends, states):
+        ns = end - start
         if ns <= 0:
             continue
         if st.kind is StateKind.RUNNABLE:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waitgraph.events import EventKind, TraceEvent
+from waitgraph.events import EventKind, TraceEvent, extract_spans, json_text
 from waitgraph.graph import (
     DepEdge,
     DepGraph,
@@ -21,6 +22,7 @@ from waitgraph.graph import (
     to_json_dict,
 )
 from waitgraph.states import build_state_db
+from waitgraph.synth import ScenarioSpec, generate
 from conftest import slow_ids
 from oracles import brute_force_edge_weights
 from randtrace import random_trace
@@ -360,3 +362,45 @@ def test_json_dump_schema(lock_fixture):
         assert {"id", "kind", "label", "total_us"} <= set(node)
     for edge in dumped["edges"]:
         assert {"src", "dst", "weight_us", "count"} <= set(edge)
+
+
+# -- pinned outputs -----------------------------------------------------------------
+
+# sha256 of to_dot, of to_json_dict (as json_text) and of to_dot of the
+# canonical graph, each over every span of a 16-span trace in span order; a
+# change to how the walk reads the state database must leave these unchanged
+_PINNED_GRAPHS = {
+    ("lock", 3): (
+        "dc05c5aaf869e220721f8935c7a06f0a2b3b33c635ffe7b65dcf14ca1845ff5b",
+        "c9c7e0ef5c9268b26b4e082ed04f10fca959d39f9f6aecfa283d3bfc07282c3e",
+        "f3bff9206110494155d6c5080b5b22b33418b6f301e45b91d456d94fd2e92f63"),
+    ("cpu", 4): (
+        "90a8079b0afcc7010281710086738e5cc7063babdbb371d4027b53b7cbd8a1ab",
+        "0aced2b50736574830457a99c0c31008a50323b8e51849089a0ffc188c7115b5",
+        "e88f2357fc4d5f1a2d9e47853e620cd90f9fce209e602ad397e902ddce30a8cb"),
+    ("disk", 5): (
+        "cbcbac253dd113d4f30f5a194a1ca9f1136908e6795d91734413f40f8f28bca5",
+        "ed4e68109abcc43ec3152ac545a962a59e7377300777632ddf1e122410d903e3",
+        "5ec6832c8a667392e5fde3716404b94581e9247b882440ea3bdec478399094d0"),
+    ("mixed", 6): (
+        "584a7b01acf2ce7331f40c1b1448b1691354af6a29b7e3228a16334cfb8126ee",
+        "831a28baa2f93694cb94508f55c055b6322f959a87601a14723f0c2119e4e1fd",
+        "5368205d6c4e3a3fa2918ba144374b296068500b8a529c275fc8da8ff2a3c114"),
+}
+
+
+def _graph_digests(scenario: str, seed: int) -> tuple[str, str, str]:
+    events, _ = generate(ScenarioSpec(scenario, seed=seed, n_spans=16))
+    db = build_state_db(events)
+    dots, dumps, canonical = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for span in extract_spans(events).spans:
+        g = build_span_graph(db, span)
+        dots.update(to_dot(g).encode())
+        dumps.update(json_text(to_json_dict(g)).encode())
+        canonical.update(to_dot(canonicalize(g)).encode())
+    return dots.hexdigest(), dumps.hexdigest(), canonical.hexdigest()
+
+
+@pytest.mark.parametrize("scenario, seed", list(_PINNED_GRAPHS))
+def test_span_graphs_match_pinned_digests(scenario, seed):
+    assert _graph_digests(scenario, seed) == _PINNED_GRAPHS[scenario, seed]

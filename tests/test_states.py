@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import repeat
+
 import pytest
 
 from waitgraph.errors import NestingViolation, SwitchConflict
@@ -11,6 +14,8 @@ from waitgraph.states import (
     StateKind,
     StateValue,
     ThreadState,
+    _decode_state,
+    _encode_state,
     build_state_db,
     cpu_current_key,
     thread_cpu_key,
@@ -406,6 +411,43 @@ def test_query_range_matches_linear_oracle(seed):
             windows += [(key, bounds[i], t_b) for t_b in bounds[i + 1:i + 10]]
     for key, t_a, t_b in windows:
         assert db.query_range(key, t_a, t_b) == linear_query_range(db, key, t_a, t_b)
+
+
+@pytest.mark.parametrize("restored", [False, True], ids=["fold", "restored"])
+@pytest.mark.parametrize("seed", range(3))
+def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
+    db = build_state_db(random_trace(seed=seed, n_events=200))
+    if restored:
+        # the restored database reads its columns through states._Columns
+        db = _decode_state(*_encode_state(db))
+    rng = random.Random(seed + 2000)
+    for key in [*db.keys(), "thread/0/missing"]:
+        ivs = db.intervals(key)
+        instants = sorted({t + d for sv in ivs for t in (sv.start, sv.end)
+                           for d in (-1, 0, 1)})
+        # a window that starts or ends at each boundary instant, plus random ones
+        windows = [(t, t + rng.randint(1, 300)) if rng.random() < 0.5
+                   else (t - rng.randint(1, 300), t) for t in instants]
+        for _ in range(10):
+            t_a = rng.randint(db.t_min - 5, db.t_max + 5)
+            windows.append((t_a, t_a + rng.randint(1, db.t_max - db.t_min + 10)))
+        for t_a, t_b in windows:
+            starts, ends, values = db.range_columns(key, t_a, t_b)
+            assert list(map(StateValue, starts, ends, repeat(key), values)) \
+                == db.query_range(key, t_a, t_b) \
+                == linear_query_range(db, key, t_a, t_b), (key, t_a, t_b)
+            # fresh lists: a caller's edit leaves the database as it was
+            starts[:], ends[:], values[:] = [0], [1], [None]
+            assert db.range_columns(key, t_a, t_b)[0] == \
+                [sv.start for sv in db.query_range(key, t_a, t_b)]
+        t = instants[len(instants) // 2] if instants else db.t_min
+        for t_a, t_b in ((t, t), (t + 1, t)):
+            with pytest.raises(ValueError) as columns_error:
+                db.range_columns(key, t_a, t_b)
+            with pytest.raises(ValueError) as query_error:
+                db.query_range(key, t_a, t_b)
+            assert str(columns_error.value) == str(query_error.value) \
+                == f"empty range [{t_a}, {t_b}): t_a must be < t_b"
 
 
 def test_irq_reason_mapping_is_configurable():
