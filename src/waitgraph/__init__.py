@@ -21,6 +21,7 @@ from .analysis import (
     extract_features,
     kmeans,
     normalize_features,
+    read_clustering_report,
     representative,
 )
 from .errors import (

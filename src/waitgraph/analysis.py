@@ -8,6 +8,7 @@ left standard deviation.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -19,6 +20,7 @@ from .errors import EmptyCluster, InvalidParameter, RootConflict, TooFewSpans
 from .events import ExecutionSpan
 from .graph import _DOT_SHAPES, DepGraph, NodeId, NodeKind, _quote, node_id_str
 from .states import (
+    COUNTERS,
     BlockReason,
     StateDatabase,
     StateKind,
@@ -53,55 +55,30 @@ class FeatureVector:
 
 FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
 _feature_values = attrgetter(*FEATURE_NAMES)
+# waiting state (kind, blocked reason) -> the position of its count feature,
+# its duration next; the six pairs lead FeatureVector, other states add none
+_WAIT_FEATURES = {state: FEATURE_NAMES.index(name) for state, name in (
+    ((StateKind.BLOCKED, BlockReason.DISK), "blocked_disk_count"),
+    ((StateKind.RUNNABLE, None), "cpu_wait_count"),
+    ((StateKind.BLOCKED, BlockReason.FUTEX), "blocked_futex_count"),
+    ((StateKind.BLOCKED, BlockReason.TASK), "blocked_task_count"),
+    ((StateKind.INTERRUPTED, None), "interrupted_count"),
+    ((StateKind.BLOCKED, BlockReason.TIMER), "blocked_timer_count"),
+)}
 
 
 def extract_features(db: StateDatabase, span: ExecutionSpan) -> FeatureVector:
     """Counts and clipped durations of the waiting states inside a span."""
-    counts: dict[str, int] = {}
-    durs: dict[str, int] = {}
-
-    def bump(cat: str, ns: int) -> None:
-        counts[cat] = counts.get(cat, 0) + 1
-        durs[cat] = durs.get(cat, 0) + ns
-
-    starts, ends, states = db.range_columns(thread_state_key(span.root_tid),
-                                            span.t_start, span.t_end)
-    for start, end, st in zip(starts, ends, states):
-        ns = end - start
-        if ns <= 0:
-            continue
-        if st.kind is StateKind.RUNNABLE:
-            bump("cpu", ns)
-        elif st.kind is StateKind.INTERRUPTED:
-            bump("interrupt", ns)
-        elif st.kind is StateKind.BLOCKED:
-            if st.reason is BlockReason.DISK:
-                bump("disk", ns)
-            elif st.reason is BlockReason.FUTEX:
-                bump("futex", ns)
-            elif st.reason is BlockReason.TASK:
-                bump("task", ns)
-            elif st.reason is BlockReason.TIMER:
-                bump("timer", ns)
-
-    def us(cat: str) -> float:
-        return durs.get(cat, 0) / 1000
-
-    return FeatureVector(
-        blocked_disk_count=counts.get("disk", 0), blocked_disk_us=us("disk"),
-        cpu_wait_count=counts.get("cpu", 0), cpu_wait_us=us("cpu"),
-        blocked_futex_count=counts.get("futex", 0), blocked_futex_us=us("futex"),
-        blocked_task_count=counts.get("task", 0), blocked_task_us=us("task"),
-        interrupted_count=counts.get("interrupt", 0), interrupted_us=us("interrupt"),
-        blocked_timer_count=counts.get("timer", 0), blocked_timer_us=us("timer"),
-        page_faults=db.counter_delta(span.root_tid, "pagefaults",
-                                     span.t_start, span.t_end),
-        bytes_read=db.counter_delta(span.root_tid, "bytes_read",
-                                    span.t_start, span.t_end),
-        bytes_written=db.counter_delta(span.root_tid, "bytes_written",
-                                       span.t_start, span.t_end),
-        total_us=span.duration_ns / 1000,
-    )
+    tid, t_a, t_b = span.root_tid, span.t_start, span.t_end
+    waits = [0] * (2 * len(_WAIT_FEATURES))
+    for start, end, st in zip(*db.range_columns(thread_state_key(tid), t_a, t_b)):
+        at = _WAIT_FEATURES.get((st.kind, st.reason))
+        if at is not None and end > start:
+            waits[at] += 1
+            waits[at + 1] += end - start
+    waits[1::2] = [ns / 1000 for ns in waits[1::2]]
+    return FeatureVector(*waits, *[db.counter_delta(tid, counter, t_a, t_b)
+                                   for counter in COUNTERS], span.duration_ns / 1000)
 
 
 # -- k-means ------------------------------------------------------------------
@@ -229,6 +206,28 @@ def clustering_report_dict(clustering: Clustering,
             "centroids": clustering.centroids}
 
 
+def read_clustering_report(path: str) -> dict[int, list[str]]:
+    """Span ids per cluster id from a report of clustering_report_dict.
+    Raises InvalidParameter when the file is not JSON or lacks the
+    ``spans`` list of {"span_id": str, "cluster": int} records."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+        raise InvalidParameter(f"{path}: not a JSON cluster report: {exc}") from exc
+    spans = report.get("spans") if isinstance(report, dict) else None
+    if not isinstance(spans, list):
+        raise InvalidParameter(f"{path}: cluster report has no 'spans' list")
+    by_cluster: dict[int, list[str]] = {}
+    for i, rec in enumerate(spans):
+        if not isinstance(rec, dict) or type(rec.get("cluster")) is not int \
+                or not isinstance(rec.get("span_id"), str):
+            raise InvalidParameter(
+                f"{path}: spans[{i}] needs an integer 'cluster' and a string 'span_id'")
+        by_cluster.setdefault(rec["cluster"], []).append(rec["span_id"])
+    return by_cluster
+
+
 # -- representative graphs ----------------------------------------------------
 
 @dataclass
@@ -308,6 +307,10 @@ def representative(graphs: Sequence[DepGraph]) -> RepresentativeGraph:
 
 # -- comparison ----------------------------------------------------------------
 
+# the per-edge statistics compare can weigh, its default first
+STATS = ("count", "duration")
+
+
 class EdgeStyle(str, Enum):
     DASHED = "dashed"   # left only
     DOTTED = "dotted"   # right only
@@ -356,7 +359,7 @@ class ComparisonGraph:
 
 
 def compare(left: RepresentativeGraph, right: RepresentativeGraph,
-            stat: str = "count") -> ComparisonGraph:
+            stat: str = STATS[0]) -> ComparisonGraph:
     """Diff two representatives edge-wise.
 
     stat selects which per-edge statistic drives the boldness: episode
@@ -364,7 +367,7 @@ def compare(left: RepresentativeGraph, right: RepresentativeGraph,
     std_left; a zero-variance baseline maps to boldness 1 when the means
     agree and 5 otherwise.
     """
-    if stat not in ("count", "duration"):
+    if stat not in STATS:
         raise ValueError(f"unknown stat {stat!r}")
 
     def stats_of(rep: RepresentativeGraph, key) -> tuple[float, float]:

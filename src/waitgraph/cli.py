@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import stat
 import sys
 from array import array
+from dataclasses import fields
 from pathlib import Path
 
 from . import analysis, events, graph, states, synth
@@ -123,11 +123,8 @@ def _load_pipeline(trace_path: str):
 
 
 def cmd_synth(args) -> int:
-    spec = synth.ScenarioSpec(
-        scenario=args.scenario, seed=args.seed, n_spans=args.spans,
-        slow_fraction=args.slow_fraction, workers=args.workers,
-        fast_us=args.fast_us, slowdown=args.slowdown,
-        filler_events=args.filler_events, jitter=args.jitter)
+    spec = synth.ScenarioSpec(**{f.name: getattr(args, f.name)
+                                 for f in fields(synth.ScenarioSpec)})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".jsonl.gz" if args.gz else ".jsonl"
@@ -165,41 +162,18 @@ def cmd_cluster(args) -> int:
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
     atomic_write_text(args.out, json_text(report))
-    sizes = [sum(1 for c in clustering.assignments.values() if c == i)
-             for i in range(args.k)]
+    sizes = [0] * args.k
+    for cluster_id in clustering.assignments.values():
+        sizes[cluster_id] += 1
     print(f"clustered {len(feats)} spans into k={args.k} "
           f"(sizes {', '.join(map(str, sizes))}) -> {args.out}")
     return EXIT_OK
 
 
-def _report_clusters(path: str) -> dict[int, list[str]]:
-    """Span ids per cluster id from a `cluster` report.
-
-    Raises InvalidParameter when the file is not JSON or lacks the
-    ``spans`` list of {"span_id": str, "cluster": int} records.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
-        raise InvalidParameter(f"{path}: not a JSON cluster report: {exc}") from exc
-    spans = report.get("spans") if isinstance(report, dict) else None
-    if not isinstance(spans, list):
-        raise InvalidParameter(f"{path}: cluster report has no 'spans' list")
-    by_cluster: dict[int, list[str]] = {}
-    for i, rec in enumerate(spans):
-        if not isinstance(rec, dict) or type(rec.get("cluster")) is not int \
-                or not isinstance(rec.get("span_id"), str):
-            raise InvalidParameter(
-                f"{path}: spans[{i}] needs an integer 'cluster' and a string 'span_id'")
-        by_cluster.setdefault(rec["cluster"], []).append(rec["span_id"])
-    return by_cluster
-
-
 def cmd_compare(args) -> int:
     db = _load_pipeline(args.trace)
     extraction = extract_spans(db.markers)
-    by_cluster = _report_clusters(args.report)
+    by_cluster = analysis.read_clustering_report(args.report)
     spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
     for cluster_id in (args.left, args.right):
@@ -231,20 +205,8 @@ def cmd_inspect(args) -> int:
     t_b = args.to_ns if args.to_ns is not None else db.t_max + 1
     if t_a >= t_b:
         raise InvalidParameter(f"--from {t_a} must be below --to {t_b}")
-    counter_keys = {states.thread_counter_key(tid, counter): (tid, counter)
-                    for tid in db.comms for counter in states.COUNTERS
-                    if db.counter_steps(tid, counter)[0]}
-    lines = []
-    for key in sorted([*db.keys(), *counter_keys]):
-        if args.key and not key.startswith(args.key):
-            continue
-        if key in counter_keys:
-            rows = db.counter_range(*counter_keys[key], t_a, t_b)
-        else:
-            rows = db.query_range(key, t_a, t_b)
-        for sv in rows:
-            lines.append(f"{key}\t[{sv.start}, {sv.end})\t{sv.value}")
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = "".join(f"{sv.key}\t[{sv.start}, {sv.end})\t{sv.value}\n"
+                   for sv in db.slices(args.key or "", t_a, t_b))
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -259,16 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "localize off-CPU latency with waiting-dependency graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = synth.ScenarioSpec  # each synth flag sets the field it names
     p = sub.add_parser("synth", help="generate a synthetic scenario trace")
     p.add_argument("--scenario", required=True, choices=synth.SCENARIO_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spans", type=int, default=20)
-    p.add_argument("--slow-fraction", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=3)
-    p.add_argument("--fast-us", type=float, default=None)
-    p.add_argument("--slowdown", type=float, default=None)
-    p.add_argument("--filler-events", type=int, default=24)
-    p.add_argument("--jitter", type=float, default=0.015)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--spans", type=int, default=spec.n_spans, dest="n_spans",
+                   metavar="SPANS")
+    p.add_argument("--slow-fraction", type=float, default=spec.slow_fraction)
+    p.add_argument("--workers", type=int, default=spec.workers)
+    p.add_argument("--fast-us", type=float, default=spec.fast_us)
+    p.add_argument("--slowdown", type=float, default=spec.slowdown)
+    p.add_argument("--filler-events", type=int, default=spec.filler_events)
+    p.add_argument("--jitter", type=float, default=spec.jitter)
     p.add_argument("--gz", action="store_true", help="gzip the trace file")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
@@ -282,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-key nodes by comm/syscall name")
     p.add_argument("--no-percentages", action="store_true")
     p.add_argument("--min-edge-us", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--max-depth", type=int, default=graph.MAX_DEPTH)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("cluster", help="extract features and k-means group spans")
@@ -297,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="cluster report JSON")
     p.add_argument("--left", type=int, required=True)
     p.add_argument("--right", type=int, required=True)
-    p.add_argument("--stat", choices=["count", "duration"], default="count")
+    p.add_argument("--stat", choices=analysis.STATS, default=analysis.STATS[0])
     p.add_argument("--out", required=True, help="DOT output path")
     p.add_argument("--json", default=None)
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--max-depth", type=int, default=graph.MAX_DEPTH)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("inspect", help="dump state database slices")

@@ -331,7 +331,7 @@ def _write_lines(events: Iterable[TraceEvent], fh) -> None:
         fh.write("\n")
 
 
-_MARKER_KINDS = frozenset((EventKind.SPAN_BEGIN, EventKind.SPAN_END))
+MARKER_KINDS = frozenset((EventKind.SPAN_BEGIN, EventKind.SPAN_END))
 
 
 def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
@@ -347,7 +347,7 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     done: list[ExecutionSpan] = []
     # pick the markers out at C speed; tee keeps a one-shot iterator streaming
     events, kinds = tee(events)
-    for ev in compress(events, map(_MARKER_KINDS.__contains__,
+    for ev in compress(events, map(MARKER_KINDS.__contains__,
                                    map(attrgetter("kind"), kinds))):
         key = ev.payload["span_id"]
         if ev.kind is EventKind.SPAN_BEGIN:

@@ -27,6 +27,7 @@ from enum import Enum
 from .errors import InvalidParameter
 from .events import ExecutionSpan
 from .states import (
+    HANDOFF_REASONS,
     BlockReason,
     StateDatabase,
     StateKind,
@@ -59,8 +60,8 @@ def resource_node_id(label: str) -> NodeId:
 CPU_NODE = resource_node_id("CPU")
 DISK_NODE = resource_node_id("DISK")
 _NO_DEVICES: frozenset[str] = frozenset()
-# blocked reasons whose waker is the thread waited on
-_HANDOFF_REASONS = (BlockReason.TASK, BlockReason.FUTEX)
+# how many threads deep a wait chain is followed by default
+MAX_DEPTH = 16
 # the walk's per-interval tests, read as globals: an Enum member read
 # through its class costs about 0.2 µs
 _RUNNING, _RUNNABLE, _INTERRUPTED = (StateKind.RUNNING, StateKind.RUNNABLE,
@@ -266,7 +267,7 @@ class _GraphBuilder:
             dur = end - start
             if kind is _RUNNABLE:
                 target = CPU_NODE
-            elif st.reason in _HANDOFF_REASONS and st.waker_tid is not None:
+            elif st.reason in HANDOFF_REASONS and st.waker_tid is not None:
                 target = self._thread_id(st.waker_tid)
             elif st.reason is BlockReason.DISK:
                 target = DISK_NODE
@@ -300,7 +301,7 @@ class _GraphBuilder:
 
 
 def build_depgraph(db: StateDatabase, root_tid: int, ts_s: int, ts_e: int,
-                   max_depth: int = 16) -> DepGraph:
+                   max_depth: int = MAX_DEPTH) -> DepGraph:
     """Build the waiting-dependency graph of one thread over [ts_s, ts_e).
 
     A root thread absent from the range yields a graph with the root node
@@ -321,7 +322,7 @@ def build_depgraph(db: StateDatabase, root_tid: int, ts_s: int, ts_e: int,
 
 
 def build_span_graph(db: StateDatabase, span: ExecutionSpan,
-                     max_depth: int = 16) -> DepGraph:
+                     max_depth: int = MAX_DEPTH) -> DepGraph:
     g = build_depgraph(db, span.root_tid, span.t_start, span.t_end, max_depth)
     g.span = span
     return g

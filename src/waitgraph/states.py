@@ -13,9 +13,9 @@ Per key, intervals are disjoint, sorted by start and stored as columns,
 like the counters below: the starts, the ends and the values.  Queries
 bisect the starts.  ``range_columns`` returns the clipped hits of a range
 as columns again; the graph walk and the span features read those.  Only
-the public interval queries (``intervals``, ``query_range``,
-``counter_range`` and the ``*_usage_by_thread`` maps) build a StateValue,
-one for each interval they return.
+the public interval queries (``intervals``, ``query_range``, ``slices``
+and the ``*_usage_by_thread`` maps) build a StateValue, one for each
+interval they return.
 Block I/O requests are matched FIFO per device and the device is modeled
 as serving one request at a time, so the active_tid intervals of one
 device never overlap.
@@ -23,7 +23,8 @@ device never overlap.
 The cumulative counters of COUNTERS (page faults, bytes read, bytes
 written) are not intervals: each (tid, counter) is a pair of columns, the
 step timestamps (strictly increasing, all below t_max) and the running
-total from each step on.  ``counter_delta`` bisects them.
+total from each step on.  ``counter_delta`` bisects them, and ``slices``
+lists them as intervals keyed thread/{tid}/{counter}.
 
 The fold also keeps the span_begin/span_end events, in trace order, as
 ``StateDatabase.markers``: the input of ``events.extract_spans``.
@@ -45,10 +46,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, pairwise, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NestingViolation, SwitchConflict
-from .events import EventKind, TraceEvent, _gc_paused
+from .events import MARKER_KINDS, EventKind, TraceEvent, _gc_paused
 
 
 class StateKind(str, Enum):
@@ -67,6 +68,10 @@ class BlockReason(str, Enum):
     UNKNOWN = "unknown"
 
 
+# blocked reasons whose waker is the thread waited on, named in the state
+HANDOFF_REASONS = (BlockReason.TASK, BlockReason.FUTEX)
+
+
 @dataclass(frozen=True, slots=True)
 class ThreadState:
     kind: StateKind
@@ -76,7 +81,7 @@ class ThreadState:
     def __str__(self) -> str:
         if self.kind is not StateKind.BLOCKED:
             return self.kind.value
-        if self.reason in (BlockReason.TASK, BlockReason.FUTEX):
+        if self.reason in HANDOFF_REASONS:
             return f"blocked({self.reason.value}:{self.waker_tid})"
         return f"blocked({self.reason.value})"
 
@@ -117,10 +122,6 @@ def cpu_current_key(cpu: int) -> str:
 
 def disk_active_key(dev: str) -> str:
     return f"disk/{dev}/active_tid"
-
-
-def thread_counter_key(tid: int, counter: str) -> str:
-    return f"thread/{tid}/{counter}"
 
 
 # cumulative per-thread counters, by the event kind that bumps each
@@ -264,15 +265,28 @@ class StateDatabase:
         i_a = bisect_left(stamps, t_a)
         return (totals[i_b - 1] if i_b else 0) - (totals[i_a - 1] if i_a else 0)
 
-    def counter_range(self, tid: int, counter: str, t_a: int,
-                      t_b: int) -> list[StateValue]:
-        """The counter's running totals intersecting [t_a, t_b) as clipped
-        intervals keyed thread/{tid}/{counter}: a step holds until the next
-        one, the last until t_max."""
-        stamps, totals = self.counter_steps(tid, counter)
-        starts, ends, values = _clip(stamps, stamps[1:] + [self.t_max], totals, t_a, t_b)
-        return list(map(StateValue, starts, ends,
-                        repeat(thread_counter_key(tid, counter)), values))
+    def slices(self, prefix: str, t_a: int, t_b: int) -> Iterator[StateValue]:
+        """The intervals intersecting [t_a, t_b), clipped, of every key that
+        starts with prefix: key by key in key order, each by start.  The
+        keys are the interval keys and thread/{tid}/{counter} for each
+        counter that stepped, whose running total holds from one step to
+        the next and the last until t_max.  Only the matching keys' columns
+        are read.  Raises ValueError for an empty range."""
+        if t_a >= t_b:
+            raise ValueError(f"empty range [{t_a}, {t_b}): t_a must be < t_b")
+        counters = {f"thread/{tid}/{counter}": (tid, counter)
+                    for counter, steps in self._counters.items() for tid in steps
+                    if tid in self.comms}
+        keys = [key for key in [*self._intervals, *counters] if key.startswith(prefix)]
+        for key in sorted(keys):
+            if key in counters:
+                tid, counter = counters[key]
+                starts, values = self._counters[counter][tid]
+                ends = starts[1:] + [self.t_max]
+            else:
+                starts, ends, values = self._intervals[key]
+            starts, ends, values = _clip(starts, ends, values, t_a, t_b)
+            yield from map(StateValue, starts, ends, repeat(key), values)
 
     # -- resource occupancy ------------------------------------------------
 
@@ -372,8 +386,7 @@ class _Builder:
 
     _ACTOR_KINDS = frozenset((
         EventKind.SYSCALL_ENTRY, EventKind.SYSCALL_EXIT,
-        EventKind.BLOCK_RQ_ISSUE, EventKind.SPAN_BEGIN, EventKind.SPAN_END,
-    ))
+        EventKind.BLOCK_RQ_ISSUE, *MARKER_KINDS))
 
     def handle(self, ev: TraceEvent) -> None:
         self.count += 1
@@ -435,7 +448,7 @@ class _Builder:
             self.dev_fifo.setdefault(ev.payload["dev"], deque()).append((ev.tid, ev.ts))
         elif kind is EventKind.BLOCK_RQ_COMPLETE:
             self._on_rq_complete(ev)
-        elif kind is EventKind.SPAN_BEGIN or kind is EventKind.SPAN_END:
+        elif kind in MARKER_KINDS:
             self.markers.append(ev)  # no state of their own
 
     def _on_switch(self, ev: TraceEvent) -> None:
@@ -595,7 +608,7 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
 
 # True on a big-endian host, whose arrays swap to and from the blob's order
 _SWAP = array("q", [1]).tobytes()[0] != 1
-_MARKER_KINDS = {k.value: k for k in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)}
+_MARKER_BY_VALUE = {k.value: k for k in MARKER_KINDS}
 # the ends of the int-valued keys: thread/{tid}/cpu, cpu/{n}/current_tid and
 # disk/{dev}/active_tid
 _INT_KEY_ENDS = ("/cpu", "/current_tid", "/active_tid")
@@ -716,7 +729,7 @@ def _thread_state(v: object) -> ThreadState:
     st = ThreadState(StateKind(kind), None if reason is None else BlockReason(reason),
                      waker)
     if (st.kind is StateKind.BLOCKED) != (reason is not None) \
-            or (st.reason in (BlockReason.TASK, BlockReason.FUTEX)) != (type(waker) is int) \
+            or (st.reason in HANDOFF_REASONS) != (type(waker) is int) \
             or not (waker is None or type(waker) is int):
         raise ValueError(f"bad thread state {v!r}")
     return st
@@ -753,7 +766,7 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
         comms = dict(zip(_typed(tids, int), _typed(comm_names, str)))
         bounds = obj["t_min"], obj["t_max"], obj["events_consumed"]
         ts, cpus, marker_tids, marker_comms, kinds, span_ids = obj["markers"]
-        kinds = list(map(_MARKER_KINDS.__getitem__, _typed(kinds, str)))
+        kinds = list(map(_MARKER_BY_VALUE.__getitem__, _typed(kinds, str)))
         if not len(tids) == len(comm_names) == len(comms) \
                 or not set(map(type, bounds)) <= {int} or bounds[0] > bounds[1] \
                 or len({len(ts), len(cpus), len(marker_tids), len(marker_comms),

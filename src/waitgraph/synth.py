@@ -429,18 +429,35 @@ _ALIASES = {row[0]: name for name, row in _TABLE.items()}
 SCENARIO_NAMES = tuple(dict.fromkeys([*_ALIASES, *SCENARIOS]))
 
 
+def _last_ts(spec: ScenarioSpec, events: list[TraceEvent], last: int) -> int:
+    """The events' last timestamp; InvalidParameter if one goes back in time."""
+    for ev in events:
+        if ev.ts < last:
+            raise InvalidParameter(
+                f"{spec.scenario}: spans too short for the scenario's plan, an event "
+                f"at ts={ev.ts} would follow one at ts={last}; raise fast_us or slowdown")
+        last = ev.ts
+    return last
+
+
 def iter_events(spec: ScenarioSpec, gt_out: list[dict] | None = None) -> Iterator[TraceEvent]:
     """Stream the scenario's events; ground-truth records accumulate into
-    gt_out (one per span, in emission order)."""
+    gt_out (one per span, in emission order).  Raises InvalidParameter at
+    the first span too short for its plan: one whose events go back in time."""
     gen = _Gen(spec)
     *_, emitters = _TABLE[spec.scenario]
+    last = 0
     for prologue, _ in emitters:
-        yield from prologue(gen)
+        out = prologue(gen)
+        last = _last_ts(spec, out, last)
+        yield from out
     for i in range(spec.n_spans):
         _, emit = emitters[gen.rng.randrange(len(emitters))] \
             if len(emitters) > 1 else emitters[0]
         slow = gen.rng.random() < spec.slow_fraction
-        yield from emit(gen, i, f"s{i:04d}", slow)
+        out = emit(gen, i, f"s{i:04d}", slow)
+        last = _last_ts(spec, out, last)
+        yield from out
     if gt_out is not None:
         gt_out.extend(gen.gt_spans)
 

@@ -643,6 +643,15 @@ def test_synth_non_finite_float_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "trace.jsonl").exists()
 
 
+def test_synth_spans_too_short_for_the_plan_exit_2_and_write_nothing(tmp_path, capsys):
+    # the fast lock span would exit its syscall before entering it
+    err = _exits_2(["synth", "--scenario", "lock", "--fast-us", "1", "--filler-events",
+                    "0", "--slow-fraction", "0", "--spans", "4",
+                    "--out-dir", str(tmp_path)], capsys)
+    assert "ts=4507" in err and "ts=4906" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def small_lock_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("small")
@@ -1071,6 +1080,28 @@ def test_restored_state_decodes_only_the_keys_a_graph_reads(tmp_path, monkeypatc
     assert decoded == seen_keys & set(ref.keys())
     assert set().union(*(c._cut for c in db._counters.values())) <= seen_tids
     assert 0 < len(decoded) < len(ref.keys()) / 10
+
+
+def test_warm_inspect_cuts_only_the_keys_it_lists(tmp_path, capsys, monkeypatch):
+    events, _ = generate(ScenarioSpec("lock", seed=4, n_spans=30))
+    trace = tmp_path / "trace.jsonl"
+    write_trace(events, trace)
+    argv = ["inspect", str(trace), "--key", "cpu/"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    restored = []
+    decode = states._decode_state
+
+    def keep(index, blob):
+        restored.append(decode(index, blob))
+        return restored[-1]
+    monkeypatch.setattr(states, "_decode_state", keep)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    db, = restored
+    cut = set(db._intervals._cut)
+    assert cut and all(key.startswith("cpu/") for key in cut)
+    assert any(db._counters.values()) and not any(c._cut for c in db._counters.values())
 
 
 def test_inspect_reads_a_trace_from_a_pipe(small_lock_dir):

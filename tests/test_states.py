@@ -22,7 +22,7 @@ from waitgraph.states import (
     thread_state_key,
     thread_syscall_key,
 )
-from oracles import linear_query_range
+from oracles import counter_lines_by_scan, linear_query_range
 from randtrace import random_trace
 
 
@@ -416,7 +416,8 @@ def test_query_range_matches_linear_oracle(seed):
 @pytest.mark.parametrize("restored", [False, True], ids=["fold", "restored"])
 @pytest.mark.parametrize("seed", range(3))
 def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
-    db = build_state_db(random_trace(seed=seed, n_events=200))
+    events = random_trace(seed=seed, n_events=200)
+    db = build_state_db(events)
     if restored:
         # the restored database reads its columns through states._Columns
         db = _decode_state(*_encode_state(db))
@@ -434,7 +435,7 @@ def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
         for t_a, t_b in windows:
             starts, ends, values = db.range_columns(key, t_a, t_b)
             assert list(map(StateValue, starts, ends, repeat(key), values)) \
-                == db.query_range(key, t_a, t_b) \
+                == db.query_range(key, t_a, t_b) == list(db.slices(key, t_a, t_b)) \
                 == linear_query_range(db, key, t_a, t_b), (key, t_a, t_b)
             # fresh lists: a caller's edit leaves the database as it was
             starts[:], ends[:], values[:] = [0], [1], [None]
@@ -446,8 +447,28 @@ def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
                 db.range_columns(key, t_a, t_b)
             with pytest.raises(ValueError) as query_error:
                 db.query_range(key, t_a, t_b)
+            with pytest.raises(ValueError) as slices_error:
+                list(db.slices(key, t_a, t_b))
             assert str(columns_error.value) == str(query_error.value) \
+                == str(slices_error.value) \
                 == f"empty range [{t_a}, {t_b}): t_a must be < t_b"
+    # the whole listing: the interval keys as query_range gives them, and
+    # the counters as a scan of the events derives them, in key order
+    stamps = sorted({ev.ts for ev in events})
+    windows = [(db.t_min, db.t_max + 1)]
+    for _ in range(10):
+        t_a, t_b = sorted(rng.sample(stamps, 2))
+        windows.append((t_a + rng.randint(-1, 1), t_b + rng.randint(1, 2)))
+    for t_a, t_b in windows:
+        listing = list(db.slices("", t_a, t_b))
+        assert [sv.key for sv in listing] == sorted(sv.key for sv in listing)
+        assert [sv for sv in listing if not sv.key.endswith(COUNTERS)] == \
+            [sv for key in db.keys() for sv in db.query_range(key, t_a, t_b)]
+        assert [f"{sv.key}\t[{sv.start}, {sv.end})\t{sv.value}" for sv in listing
+                if sv.key.endswith(COUNTERS)] == counter_lines_by_scan(events, t_a, t_b)
+        for prefix in ("thread/", "thread/1", "cpu/", "disk/", "none/"):
+            assert list(db.slices(prefix, t_a, t_b)) == \
+                [sv for sv in listing if sv.key.startswith(prefix)]
 
 
 def test_irq_reason_mapping_is_configurable():

@@ -40,10 +40,25 @@ def test_different_seeds_differ():
     assert a != b
 
 
-@pytest.mark.parametrize("scenario", ["lock", "cpu", "disk", "mixed"])
-def test_generated_traces_pass_validation(scenario):
-    spec = ScenarioSpec(scenario, seed=13, n_spans=10)
-    raw = _trace_bytes(spec)
+_SCENARIOS = ("lock", "cpu", "disk", "mixed")
+# spans this short put some scenarios' events out of order or below 0
+_SHORT = {"all_fast_1us": dict(fast_us=1, slow_fraction=0, filler_events=0),
+          "all_slow_1us": dict(fast_us=1, slow_fraction=1, filler_events=0),
+          "all_slow_20us": dict(fast_us=20, slow_fraction=1, filler_events=0)}
+
+
+@pytest.mark.parametrize("scenario, params", [
+    *(pytest.param(scenario, {}, id=scenario) for scenario in _SCENARIOS),
+    *(pytest.param(scenario, params, id=f"{scenario}-{name}")
+      for name, params in _SHORT.items() for scenario in _SCENARIOS)])
+def test_generated_traces_pass_validation(scenario, params):
+    spec = ScenarioSpec(scenario, seed=13, n_spans=10, **params)
+    try:
+        raw = _trace_bytes(spec)
+    except InvalidParameter as exc:
+        # too short for the scenario's plan: refused while generating
+        assert params and "ts=" in str(exc)
+        return
     events = read_trace(raw)          # reader validation of each record
     build_state_db(events)            # the fold accepts the nesting
     extraction = extract_spans(events)
