@@ -55,7 +55,7 @@ from .graph import (
     DepGraph,
     DepNode,
     NodeKind,
-    add_to_graph,
+    add_edge,
     build_depgraph,
     build_span_graph,
     canonicalize,

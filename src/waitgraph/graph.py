@@ -21,8 +21,10 @@ syscalls by name so graphs from different executions can be merged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .errors import InvalidParameter
 from .events import ExecutionSpan
@@ -31,7 +33,8 @@ from .states import (
     BlockReason,
     StateDatabase,
     StateKind,
-    StateValue,
+    cpu_current_key,
+    thread_cpu_key,
     thread_state_key,
     thread_syscall_key,
 )
@@ -125,19 +128,20 @@ def _device_label(key: str) -> str:
     return dev if family == "disk" else f"cpu{dev}"
 
 
-def merged_span_total(ivs: list[StateValue]) -> int:
-    """Total covered nanoseconds of a sorted interval list, overlaps merged
-    (a thread served on two devices at once must not count twice)."""
+def _merged_span_total(rows: list[tuple[int, int, str]]) -> int:
+    """Total covered nanoseconds of (start, end, key) rows sorted by start,
+    overlaps merged (a thread served on two devices at once must not count
+    twice)."""
     total = 0
     cur_s = cur_e = None
-    for iv in ivs:
+    for start, end, _ in rows:
         if cur_e is None:
-            cur_s, cur_e = iv.start, iv.end
-        elif iv.start <= cur_e:
-            cur_e = max(cur_e, iv.end)
+            cur_s, cur_e = start, end
+        elif start <= cur_e:
+            cur_e = max(cur_e, end)
         else:
             total += cur_e - cur_s
-            cur_s, cur_e = iv.start, iv.end
+            cur_s, cur_e = start, end
     if cur_e is not None:
         total += cur_e - cur_s
     return total
@@ -164,22 +168,17 @@ def _fold_edge(edges: dict, src: NodeId, dst: NodeId, weight: int,
             cur.devices = cur.devices | devices
 
 
-def _add_edge(graph: DepGraph, src: NodeId, dst: NodeId, weight: int,
-              count: int, devices: frozenset[str]) -> None:
-    ensure_node(graph, src)
-    node = ensure_node(graph, dst)
-    _fold_edge(graph.edges, src, dst, weight, count, devices)
-    if node.kind is NodeKind.RESOURCE:
-        node.total_ns += weight
-
-
-def add_to_graph(graph: DepGraph, edge: DepEdge) -> DepGraph:
+def add_edge(graph: DepGraph, src: NodeId, dst: NodeId, weight_ns: int,
+             count: int = 1, devices: frozenset[str] = _NO_DEVICES) -> None:
     """Insert an edge, summing weight and count with an existing (src, dst).
 
     Resource destinations accumulate incoming weight as their node total.
     """
-    _add_edge(graph, edge.src, edge.dst, edge.weight_ns, edge.count, edge.devices)
-    return graph
+    ensure_node(graph, src)
+    node = ensure_node(graph, dst)
+    _fold_edge(graph.edges, src, dst, weight_ns, count, devices)
+    if node.kind is NodeKind.RESOURCE:
+        node.total_ns += weight_ns
 
 
 class _GraphBuilder:
@@ -188,8 +187,10 @@ class _GraphBuilder:
     Merging a freshly built sub-graph is edge-wise identical to adding its
     edges one by one, so the walk threads a single accumulator through the
     recursion instead of materializing throwaway graphs.  The walk reads
-    the clipped state and syscall columns of ``StateDatabase.range_columns``
-    and folds each edge from its fields, so it builds no StateValue and no
+    the database through four names only: the clipped state, syscall and
+    occupancy columns of ``range_columns``, ``last_value_before`` for the
+    CPU a runnable thread last ran on, ``comm`` and ``disk_keys``.  It folds
+    each edge from those columns, so it builds no StateValue and no
     throwaway DepEdge; a walk over a thread that never waits creates nothing.
     """
 
@@ -213,15 +214,6 @@ class _GraphBuilder:
     def _thread_id(self, tid: int) -> NodeId:
         return thread_node_id(tid, self.db.comm(tid))
 
-    def _syscall_context(self, tid: int, t: int) -> str | None:
-        v = self.db.query_at(thread_syscall_key(tid), t)
-        return v if isinstance(v, str) else None
-
-    def _syscall_wall(self, tid: int, name: str, ts_s: int, ts_e: int) -> int:
-        starts, ends, names = self.db.range_columns(thread_syscall_key(tid), ts_s, ts_e)
-        return sum(end - start for start, end, value in zip(starts, ends, names)
-                   if value == name)
-
     def _recurse(self, tid: int, ws: int, we: int, depth: int) -> None:
         if we <= ws:
             return
@@ -240,30 +232,40 @@ class _GraphBuilder:
         self._walk(tid, ws, we, depth + 1)
         self.stack_tids.pop()
 
-    def _blame(self, resource: NodeId, tid: int,
-               usage: dict[int, list[StateValue]], depth: int) -> None:
-        """resource -> every other thread that held it, weighted by merged
-        occupancy; each holder's graph over its occupancy window follows."""
-        usage.pop(tid, None)
+    def _blame(self, resource: NodeId, tid: int, keys: list[str],
+               t_a: int, t_b: int, depth: int) -> None:
+        """resource -> every other thread that held one of the occupancy keys
+        during [t_a, t_b), weighted by merged occupancy; each holder's graph
+        over its occupancy window follows."""
+        usage: dict[int, list[tuple[int, int, str]]] = {}
+        for key in keys:
+            starts, ends, holders = self.db.range_columns(key, t_a, t_b)
+            for start, end, holder in zip(starts, ends, holders):
+                if holder != tid:
+                    usage.setdefault(holder, []).append((start, end, key))
         for utid in sorted(usage):
-            ivs = usage[utid]
-            overlap = merged_span_total(ivs)
+            rows = usage[utid]
+            # by start only: rows of equal start keep their key order
+            rows.sort(key=itemgetter(0))
+            overlap = _merged_span_total(rows)
             if overlap <= 0:
                 continue
-            devs = frozenset(map(_device_label, {iv.key for iv in ivs}))
-            _add_edge(self.graph, resource, self._thread_id(utid), overlap, 1, devs)
-            self._recurse(utid, ivs[0].start, ivs[-1].end, depth)
+            devs = frozenset(map(_device_label, {key for _, _, key in rows}))
+            add_edge(self.graph, resource, self._thread_id(utid), overlap, 1, devs)
+            self._recurse(utid, rows[0][0], rows[-1][1], depth)
 
     def _walk(self, tid: int, ts_s: int, ts_e: int, depth: int) -> None:
         graph, db = self.graph, self.db
         starts, ends, states = db.range_columns(thread_state_key(tid), ts_s, ts_e)
-        me = syscalls_seen = None
+        me = None
         for start, end, st in zip(starts, ends, states):
             kind = st.kind
             if end <= start or kind is _RUNNING or kind is _INTERRUPTED:
                 continue
             if me is None:
                 me, syscalls_seen = self._thread_id(tid), set()
+                sys_starts, sys_ends, sys_names = db.range_columns(
+                    thread_syscall_key(tid), ts_s, ts_e)
             dur = end - start
             if kind is _RUNNABLE:
                 target = CPU_NODE
@@ -275,27 +277,29 @@ class _GraphBuilder:
                 # other blocked reasons (timer/network/unknown) name no
                 # culprit thread or tracked resource: no edges.
                 continue
-            # me -> [active syscall ->] target, both edges weighted dur
-            ctx = self._syscall_context(tid, start)
-            if ctx is None:
-                _add_edge(graph, me, target, dur, 1, _NO_DEVICES)
+            # me -> [active syscall ->] target, both edges weighted dur; the
+            # syscall row holding start, if any, lies in the walked window
+            i = bisect_right(sys_starts, start) - 1
+            if i < 0 or sys_ends[i] <= start:
+                add_edge(graph, me, target, dur)
             else:
+                ctx = sys_names[i]
                 sid = syscall_node_id(tid, ctx)
                 if ctx not in syscalls_seen:
                     syscalls_seen.add(ctx)
-                    ensure_node(graph, sid).total_ns += \
-                        self._syscall_wall(tid, ctx, ts_s, ts_e)
-                _add_edge(graph, me, sid, dur, 1, _NO_DEVICES)
-                _add_edge(graph, sid, target, dur, 1, _NO_DEVICES)
+                    ensure_node(graph, sid).total_ns += sum(
+                        e - s for s, e, name in zip(sys_starts, sys_ends, sys_names)
+                        if name == ctx)
+                add_edge(graph, me, sid, dur)
+                add_edge(graph, sid, target, dur)
             # then the graphs of whatever held the target during the wait
             if target is CPU_NODE:
-                cpu = db.last_cpu_before(tid, start)
+                cpu = db.last_value_before(thread_cpu_key(tid), start)
                 if cpu is not None:
-                    self._blame(CPU_NODE, tid, db.cpu_usage_by_thread(
-                        cpu, start, end), depth)
+                    self._blame(CPU_NODE, tid, [cpu_current_key(cpu)], start, end,
+                                depth)
             elif target is DISK_NODE:
-                self._blame(DISK_NODE, tid, db.disk_usage_by_thread(
-                    start, end), depth)
+                self._blame(DISK_NODE, tid, db.disk_keys, start, end, depth)
             else:
                 self._recurse(st.waker_tid, start, end, depth)
 

@@ -12,10 +12,10 @@ Events are folded, in a single pass, into half-open interval records
 Per key, intervals are disjoint, sorted by start and stored as columns,
 like the counters below: the starts, the ends and the values.  Queries
 bisect the starts.  ``range_columns`` returns the clipped hits of a range
-as columns again; the graph walk and the span features read those.  Only
-the public interval queries (``intervals``, ``query_range``, ``slices``
-and the ``*_usage_by_thread`` maps) build a StateValue, one for each
-interval they return.
+as columns again; the span features read those, and the graph walk reads
+nothing else of the intervals.  Only the public interval queries
+(``intervals``, ``query_range`` and ``slices``) build a StateValue, one for
+each interval they return.
 Block I/O requests are matched FIFO per device and the device is modeled
 as serving one request at a time, so the active_tid intervals of one
 device never overlap.
@@ -199,7 +199,7 @@ class StateDatabase:
                  markers: list[TraceEvent]):
         self._intervals = intervals
         self._counters = counters
-        self._disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
+        self.disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
         self.markers = markers
         self.comms = comms
         self.t_min = t_min
@@ -287,30 +287,6 @@ class StateDatabase:
                 starts, ends, values = self._intervals[key]
             starts, ends, values = _clip(starts, ends, values, t_a, t_b)
             yield from map(StateValue, starts, ends, repeat(key), values)
-
-    # -- resource occupancy ------------------------------------------------
-
-    def _occupancy(self, keys: list[str], t_a: int,
-                   t_b: int) -> dict[int, list[StateValue]]:
-        """Per-tid clipped intervals of the keys intersecting [t_a, t_b),
-        each tid's list sorted by start."""
-        usage: dict[int, list[StateValue]] = {}
-        for key in keys:
-            for sv in self.query_range(key, t_a, t_b):
-                usage.setdefault(int(sv.value), []).append(sv)
-        for ivs in usage.values():
-            ivs.sort(key=lambda sv: sv.start)
-        return usage
-
-    def disk_usage_by_thread(self, t_a: int, t_b: int) -> dict[int, list[StateValue]]:
-        return self._occupancy(self._disk_keys, t_a, t_b)
-
-    def cpu_usage_by_thread(self, cpu: int, t_a: int, t_b: int) -> dict[int, list[StateValue]]:
-        return self._occupancy([cpu_current_key(cpu)], t_a, t_b)
-
-    def last_cpu_before(self, tid: int, t: int) -> int | None:
-        v = self.last_value_before(thread_cpu_key(tid), t)
-        return int(v) if v is not None else None
 
 
 class _Builder:

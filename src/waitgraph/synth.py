@@ -300,6 +300,11 @@ class _Gen:
             irq_ns = 20_000
             runnable = round(total * 8 / 9)
             running = total - irq_ns - runnable
+            if running < 0:
+                raise InvalidParameter(
+                    f"{spec.scenario}: spans too short for the scenario's plan, the slow "
+                    f"span at ts={t0} lasts {total} ns, less than its {irq_ns} ns "
+                    f"interrupt and {runnable} ns runnable wait; raise fast_us or slowdown")
             a1 = round(running * 0.45)
             a1b = round(running * 0.05)
             self.filler(out, _CPU_CPU, root, t0, a1, spec.filler_events)

@@ -46,5 +46,15 @@ def disk_fixture():
             "spans": extraction.spans}
 
 
+@pytest.fixture(scope="session")
+def mixed_fixture():
+    spec = ScenarioSpec("mixed", seed=6, n_spans=20)
+    events, gt = generate(spec)
+    db = build_state_db(events)
+    extraction = extract_spans(events)
+    return {"spec": spec, "events": events, "gt": gt, "db": db,
+            "spans": extraction.spans}
+
+
 def slow_ids(gt: dict) -> set[str]:
     return {s["span_id"] for s in gt["spans"] if s["label"] == "slow"}

@@ -21,12 +21,7 @@ from waitgraph.analysis import (
 )
 from waitgraph.errors import EmptyCluster, RootConflict, TooFewSpans
 from waitgraph.events import extract_spans
-from waitgraph.graph import (
-    DepEdge,
-    DepGraph,
-    add_to_graph,
-    ensure_node,
-)
+from waitgraph.graph import DepGraph, add_edge, ensure_node
 from waitgraph.states import build_state_db, thread_syscall_key
 from conftest import slow_ids
 from oracles import lloyd_reference, objective, scan_span_features
@@ -169,7 +164,7 @@ def _graph_from(edges, root=("thread", "r")) -> DepGraph:
     g = DepGraph(root_id=root)
     ensure_node(g, root)
     for src, dst, w, c in edges:
-        add_to_graph(g, DepEdge(src, dst, w, c))
+        add_edge(g, src, dst, w, c)
     return g
 
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from waitgraph.events import EventKind, TraceEvent, extract_spans, json_text
 from waitgraph.graph import (
-    DepEdge,
     DepGraph,
-    add_to_graph,
+    add_edge,
     build_depgraph,
     build_span_graph,
     canonicalize,
@@ -68,7 +67,7 @@ def test_root_absent_from_range_gives_root_only():
     assert not g.edges and g.root.total_ns == 100
 
 
-# -- add_to_graph --------------------------------------------------------------
+# -- add_edge ------------------------------------------------------------------
 
 
 def _empty(root=("thread", 1, "a")) -> DepGraph:
@@ -80,29 +79,29 @@ def _empty(root=("thread", 1, "a")) -> DepGraph:
 def test_add_same_edge_twice_sums_weight_and_count():
     g = _empty()
     a, b = thread_node_id(1, "a"), thread_node_id(2, "b")
-    add_to_graph(g, DepEdge(a, b, 10_000))
-    add_to_graph(g, DepEdge(a, b, 10_000))
+    add_edge(g, a, b, 10_000)
+    add_edge(g, a, b, 10_000)
     e = g.edges[(a, b)]
     assert e.weight_ns == 20_000 and e.count == 2
 
 
 def test_add_into_empty_graph_creates_nodes():
     g = DepGraph(root_id=("thread", 1, "a"))
-    add_to_graph(g, DepEdge(("thread", 1, "a"), ("thread", 2, "b"), 5))
+    add_edge(g, ("thread", 1, "a"), ("thread", 2, "b"), 5)
     assert len(g.nodes) == 2 and len(g.edges) == 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
                           st.integers(1, 10_000)), max_size=60))
 @settings(max_examples=60, deadline=None)
-def test_add_to_graph_matches_multimap_sum(edges):
+def test_add_edge_matches_multimap_sum(edges):
     g = _empty(("thread", 0, "w0"))
     oracle: dict[tuple, list[int]] = {}
     for s, d, w in edges:
         if s == d:
             continue
         src, dst = thread_node_id(s, f"w{s}"), thread_node_id(d, f"w{d}")
-        add_to_graph(g, DepEdge(src, dst, w))
+        add_edge(g, src, dst, w)
         oracle.setdefault((src, dst), []).append(w)
     assert edge_stats(g) == {k: (sum(v), len(v)) for k, v in oracle.items()}
 
@@ -322,13 +321,38 @@ def test_small_depth_caps_truncate_the_random_walks():
     assert any(_random_walk(seed, 1)[0].depth_truncated for seed in range(10))
 
 
+class _ReadSpy:
+    """A state database stand-in that records every name read from it."""
+
+    def __init__(self, db):
+        self._db = db
+        self.names: set[str] = set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._db, name)
+
+
+def test_walk_reads_the_state_db_only_as_clipped_columns(
+        lock_fixture, cpu_fixture, disk_fixture, mixed_fixture):
+    reads = set()
+    for fixture in (lock_fixture, cpu_fixture, disk_fixture, mixed_fixture):
+        spy = _ReadSpy(fixture["db"])
+        for span in fixture["spans"]:
+            assert to_json_dict(build_span_graph(spy, span)) == \
+                to_json_dict(build_span_graph(fixture["db"], span))
+        reads |= spy.names
+    assert "range_columns" in reads
+    assert reads <= {"range_columns", "last_value_before", "comm", "disk_keys"}
+
+
 # -- canonicalization -------------------------------------------------------------
 
 
 def test_canonicalize_disambiguates_same_comm():
     g = _empty(("thread", 50, "apache2"))
-    add_to_graph(g, DepEdge(("thread", 50, "apache2"), ("thread", 10, "apache2"), 7))
-    add_to_graph(g, DepEdge(("thread", 50, "apache2"), ("thread", 20, "apache2"), 5))
+    add_edge(g, ("thread", 50, "apache2"), ("thread", 10, "apache2"), 7)
+    add_edge(g, ("thread", 50, "apache2"), ("thread", 20, "apache2"), 5)
     cg = canonicalize(g)
     assert cg.root_id == ("thread", "apache2")
     assert set(cg.nodes) == {("thread", "apache2"), ("thread", "apache2#2"),
@@ -339,9 +363,9 @@ def test_canonicalize_disambiguates_same_comm():
 
 def test_canonicalize_merges_collapsed_syscalls():
     g = _empty(("thread", 1, "a"))
-    add_to_graph(g, DepEdge(("thread", 1, "a"), ("syscall", 1, "read"), 10))
-    add_to_graph(g, DepEdge(("syscall", 1, "read"), ("thread", 2, "b"), 10))
-    add_to_graph(g, DepEdge(("thread", 2, "b"), ("syscall", 2, "read"), 4))
+    add_edge(g, ("thread", 1, "a"), ("syscall", 1, "read"), 10)
+    add_edge(g, ("syscall", 1, "read"), ("thread", 2, "b"), 10)
+    add_edge(g, ("thread", 2, "b"), ("syscall", 2, "read"), 4)
     cg = canonicalize(g)
     assert ("syscall", "read") in cg.nodes
     assert cg.edges[(("thread", "a"), ("syscall", "read"))].weight_ns == 10
@@ -404,3 +428,24 @@ def _graph_digests(scenario: str, seed: int) -> tuple[str, str, str]:
 @pytest.mark.parametrize("scenario, seed", list(_PINNED_GRAPHS))
 def test_span_graphs_match_pinned_digests(scenario, seed):
     assert _graph_digests(scenario, seed) == _PINNED_GRAPHS[scenario, seed]
+
+
+# sha256 of to_json_dict (as json_text) of 5 random (root, window) graphs of
+# each random trace of seeds 0-99: unlike the synth pins these graphs carry
+# DISK edges served on two devices and syscall nodes of several names
+_PINNED_RANDOM_GRAPHS = "850345e55288b145b8466aab22e39bdb812e89b1c52fb1d1d3fd13d69cbdbf64"
+
+
+def test_random_graphs_match_pinned_digest():
+    dumps = hashlib.sha256()
+    for seed in range(100):
+        rng = random.Random(seed)
+        db = build_state_db(random_trace(seed=seed, n_events=rng.randint(150, 1500)))
+        tids = db.thread_tids()
+        for _ in range(5):
+            root = rng.choice(tids)
+            ts_s = rng.randint(db.t_min, db.t_max - 1)
+            ts_e = rng.randint(ts_s + 1, db.t_max)
+            dumps.update(json_text(to_json_dict(build_depgraph(db, root, ts_s, ts_e)))
+                         .encode())
+    assert dumps.hexdigest() == _PINNED_RANDOM_GRAPHS

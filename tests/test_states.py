@@ -7,7 +7,7 @@ import pytest
 
 from waitgraph.errors import NestingViolation, SwitchConflict
 from waitgraph.events import EventKind, TraceEvent
-from waitgraph.graph import merged_span_total
+from waitgraph.graph import CPU_NODE, DISK_NODE, build_depgraph
 from waitgraph.states import (
     COUNTERS,
     BlockReason,
@@ -18,6 +18,7 @@ from waitgraph.states import (
     _encode_state,
     build_state_db,
     cpu_current_key,
+    disk_active_key,
     thread_cpu_key,
     thread_state_key,
     thread_syscall_key,
@@ -38,11 +39,27 @@ def switch(ts, prev, nxt, cpu=0, prev_state="runnable"):
 A, B = 11, 22
 
 
-def overlap_by_tid(usage) -> list[tuple[int, int]]:
-    """(tid, covered ns) per thread of a *_usage_by_thread result, as the
-    graph builder weighs it; zero-overlap threads omitted; ordered by tid."""
-    totals = ((tid, merged_span_total(ivs)) for tid, ivs in usage.items())
-    return sorted((tid, d) for tid, d in totals if d > 0)
+def overlap_by_tid(db, root, t_a, t_b, resource) -> list[tuple[int, int]]:
+    """(tid, covered ns) per other thread that held the resource while root
+    waited on it over [t_a, t_b): the resource's edge weights in root's
+    graph, ordered by tid."""
+    g = build_depgraph(db, root, t_a, t_b, max_depth=0)
+    return sorted((dst[1], e.weight_ns) for (src, dst), e in g.edges.items()
+                  if src == resource)
+
+
+W, SOFTIRQ = 66, 67
+
+
+def with_disk_waiter(events, t_a, t_b):
+    """The events plus a thread W, on a CPU of its own, blocked over
+    [t_a, t_b) until the block softirq wakes it: a wait on the disk."""
+    waiter = [switch(t_a, W, SOFTIRQ, cpu=7, prev_state="blocked"),
+              ev(t_b, 7, SOFTIRQ, EventKind.SOFTIRQ_ENTRY, vec=4),
+              ev(t_b, 7, SOFTIRQ, EventKind.SCHED_WAKEUP, waker_tid=SOFTIRQ,
+                 wakee_tid=W, waker_context="softirq"),
+              ev(t_b, 7, SOFTIRQ, EventKind.SOFTIRQ_EXIT, vec=4)]
+    return sorted(events + waiter, key=lambda e: e.ts)
 
 
 @pytest.fixture()
@@ -186,8 +203,12 @@ def test_cpu_current_and_last_cpu():
     cur = db.intervals("cpu/1/current_tid")
     assert [(sv.start, sv.end, sv.value) for sv in cur] == [
         (0, 50, A), (50, 90, B), (90, 120, A)]
-    assert db.last_cpu_before(A, 50) == 1
-    assert overlap_by_tid(db.cpu_usage_by_thread(1, 0, 120)) == [(A, 80), (B, 40)]
+    assert db.last_value_before(thread_cpu_key(A), 50) == 1
+    assert db.range_columns(cpu_current_key(1), 0, 120) == \
+        ([0, 50, 90], [50, 90, 120], [A, B, A])
+    # each runnable wait on cpu 1 is blamed on the other thread's occupancy
+    assert overlap_by_tid(db, A, 50, 90, CPU_NODE) == [(B, 40)]
+    assert overlap_by_tid(db, B, 90, 120, CPU_NODE) == [(A, 30)]
 
 
 def test_switch_conflict_detected():
@@ -226,8 +247,9 @@ def test_interrupt_exit_must_match_the_innermost_entry_on_its_cpu(kind, payload)
 
 
 def test_disk_usage_none_in_range():
-    db = build_state_db([switch(0, 99, A)])
-    assert overlap_by_tid(db.disk_usage_by_thread(0, 100)) == []
+    db = build_state_db(with_disk_waiter([switch(0, 99, A)], 0, 100))
+    assert db.disk_keys == []
+    assert overlap_by_tid(db, W, 0, 100, DISK_NODE) == []
 
 
 def test_disk_usage_43_percent_of_range():
@@ -237,9 +259,10 @@ def test_disk_usage_43_percent_of_range():
         ev(530, 0, A, EventKind.BLOCK_RQ_COMPLETE, dev="sda"),
         switch(1100, A, 99, prev_state="runnable"),
     ]
-    db = build_state_db(events)
+    db = build_state_db(with_disk_waiter(events, 100, 1100))
+    assert db.range_columns(disk_active_key("sda"), 100, 1100) == ([100], [530], [A])
     # over the [100, 1100) range the single request covers 43%
-    assert overlap_by_tid(db.disk_usage_by_thread(100, 1100)) == [(A, 430)]
+    assert overlap_by_tid(db, W, 100, 1100, DISK_NODE) == [(A, 430)]
 
 
 def test_disk_usage_two_disjoint_threads():
@@ -252,8 +275,10 @@ def test_disk_usage_two_disjoint_threads():
         ev(90, 1, B, EventKind.BLOCK_RQ_COMPLETE, dev="sda"),
         switch(100, A, 44, cpu=0, prev_state="runnable"),
     ]
-    db = build_state_db(events)
-    usage = overlap_by_tid(db.disk_usage_by_thread(0, 100))
+    db = build_state_db(with_disk_waiter(events, 0, 100))
+    assert db.range_columns(disk_active_key("sda"), 0, 100) == \
+        ([10, 60], [40, 90], [A, B])
+    usage = overlap_by_tid(db, W, 0, 100, DISK_NODE)
     assert usage == [(A, 30), (B, 30)]
     assert sum(d for _, d in usage) <= 100
 
@@ -471,7 +496,7 @@ def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
                 [sv for sv in listing if sv.key.startswith(prefix)]
 
 
-def test_irq_reason_mapping_is_configurable():
+def test_irq_context_wake_stays_unknown():
     # no per-line irq mapping exists: an irq-context wake stays unknown
     events = [
         switch(0, A, B, prev_state="blocked"),

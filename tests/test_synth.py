@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import re
 
 import pytest
 
@@ -44,7 +45,8 @@ _SCENARIOS = ("lock", "cpu", "disk", "mixed")
 # spans this short put some scenarios' events out of order or below 0
 _SHORT = {"all_fast_1us": dict(fast_us=1, slow_fraction=0, filler_events=0),
           "all_slow_1us": dict(fast_us=1, slow_fraction=1, filler_events=0),
-          "all_slow_20us": dict(fast_us=20, slow_fraction=1, filler_events=0)}
+          "all_slow_20us": dict(fast_us=20, slow_fraction=1, filler_events=0),
+          "all_slow_1us_filler": dict(fast_us=1, slow_fraction=1, filler_events=1)}
 
 
 @pytest.mark.parametrize("scenario, params", [
@@ -56,8 +58,9 @@ def test_generated_traces_pass_validation(scenario, params):
     try:
         raw = _trace_bytes(spec)
     except InvalidParameter as exc:
-        # too short for the scenario's plan: refused while generating
-        assert params and "ts=" in str(exc)
+        # too short for the scenario's plan: refused while generating, naming
+        # a timestamp (not a "filler_events=" count)
+        assert params and re.search(r"spans too short .*\bts=\d", str(exc))
         return
     events = read_trace(raw)          # reader validation of each record
     build_state_db(events)            # the fold accepts the nesting
