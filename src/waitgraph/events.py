@@ -17,6 +17,13 @@ A counter line (page_fault, io_read, io_write) exactly as write_trace
 writes it is decoded by one regular expression instead of the JSON
 scanner; every other line goes through the JSON path.  Both give the
 same record, so the choice changes no event and no error.
+
+write_trace writes each line as json.dumps would write event_to_record's
+dict, but fills a prebuilt template per kind: ints through str, and each
+distinct string JSON-encoded once by json's own encoder and cached.  An
+event with any other type in a field (a bool, a float, a str subclass, a
+plain str for its kind) goes through json.dumps itself, so the bytes and
+the errors are json.dumps's either way.
 """
 
 from __future__ import annotations
@@ -313,7 +320,17 @@ def json_text(obj) -> str:
 
 def write_trace(events: Iterable[TraceEvent], dest) -> None:
     """Write events as canonical JSONL.  A path is replaced atomically and
-    gzipped when it ends in .gz (zero mtime, so the bytes are reproducible)."""
+    gzipped when it ends in .gz (zero mtime, so the bytes are reproducible).
+
+    Each line is json.dumps(event_to_record(ev), ensure_ascii=False,
+    separators=(",", ":")) and a newline.  An event whose kind is an
+    EventKind, whose numbers are exact ints and whose strings are exact
+    strs is formatted from its kind's line template, each distinct string
+    JSON-encoded once by json's own encoder; any other event goes through
+    json.dumps itself, so every line and every error is json.dumps's.
+    Lines are written a few thousand at a time; when events raises, the
+    lines before it are written first.
+    """
     if not isinstance(dest, (str, Path)):
         _write_lines(events, dest)
         return
@@ -324,11 +341,78 @@ def write_trace(events: Iterable[TraceEvent], dest) -> None:
             _write_lines(events, fh)
 
 
+# json.dumps's string escaping under write_trace's settings
+_json_str = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _line_template(kind: EventKind) -> str:
+    """A kind's line as a %-template: ts, cpu, tid, the encoded comm, then
+    its payload values in PAYLOAD_FIELDS order."""
+    fixed = '{"ts":%s,"cpu":%s,"tid":%s,"comm":%s,"kind":' \
+        + _json_str(kind.value).replace("%", "%%")
+    for key, _ in PAYLOAD_FIELDS[kind]:
+        fixed += "," + _json_str(key).replace("%", "%%") + ":%s"
+    return fixed + "}\n"
+
+
+# kind -> (line template, payload keys)
+_LINE_TEMPLATES = {kind: (_line_template(kind), tuple(key for key, _ in fields))
+                   for kind, fields in PAYLOAD_FIELDS.items()}
+_CHUNK_LINES = 4096
+
+
 def _write_lines(events: Iterable[TraceEvent], fh) -> None:
-    for ev in events:
-        fh.write(json.dumps(event_to_record(ev), ensure_ascii=False,
-                            separators=(",", ":")))
-        fh.write("\n")
+    templates = _LINE_TEMPLATES
+    encode = _json_str
+    encoded: dict[str, str] = {}  # string -> its JSON text
+    lines: list[str] = []
+    append = lines.append
+    try:
+        for ev in events:
+            line = None
+            kind, ts, cpu, tid, comm = ev.kind, ev.ts, ev.cpu, ev.tid, ev.comm
+            # a str equal to a kind's value would find its template too, but
+            # json.dumps(event_to_record(ev)) fails on it: exact types only
+            if type(kind) is EventKind and type(ts) is int and type(cpu) is int \
+                    and type(tid) is int and type(comm) is str:
+                template, keys = templates[kind]
+                values = [ts, cpu, tid,
+                          encoded.get(comm) or encoded.setdefault(comm, encode(comm))]
+                payload = ev.payload
+                for key in keys:
+                    value = payload[key]
+                    if type(value) is str:
+                        value = encoded.get(value) or encoded.setdefault(value, encode(value))
+                    elif type(value) is not int:
+                        break
+                    values.append(value)
+                else:
+                    line = template % tuple(values)
+            if line is None:
+                line = json.dumps(event_to_record(ev), ensure_ascii=False,
+                                  separators=(",", ":")) + "\n"
+            append(line)
+            if len(lines) >= _CHUNK_LINES:
+                _write_chunk(fh, lines)
+                if len(encoded) > _CHUNK_LINES:  # keep the memory flat
+                    encoded.clear()
+    finally:
+        if lines:
+            _write_chunk(fh, lines)
+
+
+def _write_chunk(fh, lines: list[str]) -> None:
+    """Write the pending lines and clear them, so a chunk is written once."""
+    try:
+        fh.write("".join(lines))
+    except UnicodeEncodeError:
+        # a text layer encodes a whole write before it keeps any of it: write
+        # line by line, so the lines before the one it cannot encode land
+        for line in lines:
+            fh.write(line)
+        raise
+    finally:
+        lines.clear()
 
 
 MARKER_KINDS = frozenset((EventKind.SPAN_BEGIN, EventKind.SPAN_END))

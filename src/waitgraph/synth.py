@@ -165,11 +165,13 @@ class _Gen:
             raise InvalidParameter(
                 f"filler_events={count} does not fit a {length} ns segment")
         kinds = (EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE)
+        comm = self.comms[tid]
+        randint = self.rng.randint
         for i in range(count):
-            kind = kinds[i % 3]
-            payload = {} if kind is EventKind.PAGE_FAULT \
-                else {"bytes": 1024 * self.rng.randint(1, 8)}
-            out.append(self.ev(start + spacing * (i + 1), cpu, tid, kind, **payload))
+            # page_fault carries no payload; io_read and io_write draw a size
+            payload = {"bytes": 1024 * randint(1, 8)} if i % 3 else {}
+            out.append(TraceEvent(start + spacing * (i + 1), cpu, tid, comm,
+                                  kinds[i % 3], payload))
 
     def open_span(self, out: list[TraceEvent], cpu: int, filler: int,
                   root: int, span_id: str, slow: bool,

@@ -7,6 +7,7 @@ import json
 import os
 import threading
 import warnings
+from enum import IntEnum
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from waitgraph.events import (
     EventKind,
     OpenSpan,
     TraceEvent,
+    event_to_record,
     extract_spans,
     iter_trace,
     read_trace,
@@ -453,6 +455,138 @@ def test_mutated_counter_lines_fail_alike_on_both_paths(records, data):
         else:
             text.insert(pos, byte)
     _assert_both_paths_agree(bytes(text))
+
+
+# -- write_trace writes what json.dumps writes -------------------------------
+
+def _write_outcome(write, evs):
+    """The UTF-8 bytes write(evs, fh) leaves in a text file object, and
+    the type of the error it raised (None if none)."""
+    raw = io.BytesIO()
+    fh = io.TextIOWrapper(raw, encoding="utf-8")
+    try:
+        write(evs, fh)
+        error = None
+    except Exception as exc:
+        error = type(exc)
+    fh.flush()
+    return raw.getvalue(), error
+
+
+def _dumps_each(evs, fh):
+    for ev in evs:
+        fh.write(json.dumps(event_to_record(ev), ensure_ascii=False,
+                            separators=(",", ":")) + "\n")
+
+
+def _assert_written_as_json_dumps(evs):
+    assert _write_outcome(write_trace, evs) == _write_outcome(_dumps_each, evs)
+
+
+_numbers = st.one_of(_digits, st.integers())
+
+
+@st.composite
+def _any_kind_events(draw) -> TraceEvent:
+    """An event of any kind; each payload value an int or an escape-rich str."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    payload = {key: draw(st.one_of(_numbers, _comms)) for key, _ in PAYLOAD_FIELDS[kind]}
+    return TraceEvent(draw(_numbers), draw(_numbers), draw(_numbers), draw(_comms),
+                      kind, payload)
+
+
+@given(evs=st.lists(_any_kind_events(), min_size=1, max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_written_lines_equal_json_dumps_of_the_record(evs):
+    _assert_written_as_json_dumps(evs)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+_HUGE = 10 ** 5000  # past int's string-conversion digit limit
+
+
+_ODD_VALUES = {
+    "bool_ts": ("ts", True), "float_cpu": ("cpu", 1.5), "intenum_tid": ("tid", _Level.ONE),
+    "int_subclass_tid": ("tid", _Int(7)), "huge_ts": ("ts", _HUGE),
+    "none_comm": ("comm", None), "str_subclass_comm": ("comm", _Str("w")),
+    "int_comm": ("comm", 7), "surrogate_comm": ("comm", "\ud800"),
+    "plain_str_kind": ("kind", "io_read"), "bool_bytes": ("bytes", False),
+    "float_bytes": ("bytes", 2.0), "nan_bytes": ("bytes", float("nan")),
+    "none_bytes": ("bytes", None), "int_subclass_bytes": ("bytes", _Int(8)),
+    "intenum_bytes": ("bytes", _Level.ONE), "huge_bytes": ("bytes", _HUGE),
+    "str_subclass_bytes": ("bytes", _Str("8")), "str_bytes": ("bytes", "é線\u2028"),
+    "surrogate_bytes": ("bytes", "\udfff"), "list_bytes": ("bytes", [1]),
+    "missing_key": ("payload", {}), "extra_key": ("payload", {"bytes": 1, "vendor": 2}),
+    "none_payload": ("payload", None),
+}
+
+
+@pytest.mark.parametrize("field, value", _ODD_VALUES.values(), ids=_ODD_VALUES)
+def test_odd_values_are_written_or_refused_as_json_dumps_does(field, value):
+    odd = TraceEvent(5, 0, 7, "w", EventKind.IO_READ, {"bytes": 8})
+    if field == "bytes":
+        odd.payload = {"bytes": value}
+    else:
+        setattr(odd, field, value)
+    fine = TraceEvent(6, 0, 7, "w", EventKind.SYSCALL_ENTRY, {"name": "read"})
+    _assert_written_as_json_dumps([fine, odd, fine])
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_synth_counter_lines_take_the_readers_counter_path(scenario):
+    events, _ = generate(ScenarioSpec(scenario, seed=4, n_spans=12))
+    lines = _trace_text(events).decode().splitlines(keepends=True)
+    matched = [events_mod._match_counter_line(line) is not None for line in lines]
+    counters = (EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE)
+    assert matched == [ev.kind in counters for ev in events]
+    assert sum(matched) > len(lines) // 2
+
+
+class _Boom(Exception):
+    pass
+
+
+def _then_boom(evs):
+    yield from evs
+    raise _Boom
+
+
+@pytest.fixture(scope="module")
+def many_events():
+    return random_trace(seed=5, n_events=5000)
+
+
+@pytest.mark.parametrize("n", [0, 3, 4096, 5000])
+def test_failing_events_leave_the_lines_before_in_a_file_object(many_events, n):
+    buf, expected = io.StringIO(), io.StringIO()
+    with pytest.raises(_Boom):
+        write_trace(_then_boom(many_events[:n]), buf)
+    _dumps_each(many_events[:n], expected)
+    assert buf.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("name", ["t.jsonl", "t.jsonl.gz"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failing_events_leave_no_trace_file(tmp_path, many_events, name, existing):
+    dest = tmp_path / name
+    if existing:
+        dest.write_bytes(b"old\n")
+    with pytest.raises(_Boom):
+        write_trace(_then_boom(many_events), dest)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([name] if existing else [])
+    if existing:
+        assert dest.read_bytes() == b"old\n"
 
 
 def _span_ev(ts, tid, kind, span_id, cpu=0):
