@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -289,76 +289,70 @@ class StateDatabase:
             yield from map(StateValue, starts, ends, repeat(key), values)
 
 
-class _Builder:
+class _Series:
+    """One interval key of the fold: its closed intervals as columns and
+    its open value, held from t (None when nothing is open).  ``set`` is
+    the only mutator."""
+
+    __slots__ = ("starts", "ends", "values", "t", "value")
+
     def __init__(self):
-        self.intervals: dict[str, IntervalColumns] = {}
-        self.open: dict[str, tuple[int, object]] = {}
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.values: list[object] = []
+        self.t = 0
+        self.value: object | None = None
+
+    def set(self, t: int, value: object | None) -> None:
+        """Close the open interval at t and hold value from t; None only
+        closes.  An equal value changes nothing, and a zero-length interval
+        is dropped, so flips at a shared timestamp never violate t_i < t_j."""
+        old = self.value
+        if old == value:
+            return
+        if old is not None and self.t < t:
+            self.starts.append(self.t)
+            self.ends.append(t)
+            self.values.append(old)
+        self.t = t
+        self.value = value
+
+
+class _Builder:
+    """The fold's state: one _Series per interval key, in five families
+    keyed by tid, CPU or device; ``finish`` names each key once.  A thread
+    has a state from its first transition on (``tid in self.state``)."""
+
+    def __init__(self):
+        self.state: defaultdict[int, _Series] = defaultdict(_Series)
+        self.syscall: defaultdict[int, _Series] = defaultdict(_Series)
+        self.cpu: defaultdict[int, _Series] = defaultdict(_Series)
+        self.current_tid: defaultdict[int, _Series] = defaultdict(_Series)
+        # a closed device series' t is the end of its last request, 0 at first
+        self.active_tid: defaultdict[str, _Series] = defaultdict(_Series)
         self.comms: dict[int, str] = {}
         self.irq_stack: dict[int, list[tuple[str, int | None]]] = {}
         self.syscall_stack: dict[int, list[str]] = {}
         self.dev_fifo: dict[str, deque[tuple[int, int]]] = {}
-        self.dev_last_end: dict[str, int] = {}
         self.counters: dict[str, dict[int, CounterColumns]] = {
             c: {} for c in COUNTERS}
         self._columns_by_kind = {k: self.counters[c]
                                  for k, c in _COUNTER_BY_KIND.items()}
-        self.known_tids: set[int] = set()  # threads with a state
         self.markers: list[TraceEvent] = []
         self.t_min: int | None = None
         self.t_max: int = 0
         self.count = 0
 
-    # interval plumbing: one open value per key; zero-length intervals are
-    # dropped so state flips at a shared timestamp never violate t_i < t_j.
-    def _append(self, key: str, start: int, end: int, value: object) -> None:
-        cols = self.intervals.get(key)
-        if cols is None:
-            self.intervals[key] = ([start], [end], [value])
-        else:
-            cols[0].append(start)
-            cols[1].append(end)
-            cols[2].append(value)
-
-    def set_open(self, key: str, t: int, value: object) -> None:
-        cur = self.open.get(key)
-        if cur is not None:
-            start, old = cur
-            if old == value:
-                return
-            if start < t:
-                self._append(key, start, t, old)
-        self.open[key] = (t, value)
-
-    def close_open(self, key: str, t: int) -> None:
-        cur = self.open.pop(key, None)
-        if cur is not None and cur[0] < t:
-            self._append(key, cur[0], t, cur[1])
-
-    def open_value(self, key: str) -> object | None:
-        cur = self.open.get(key)
-        return cur[1] if cur is not None else None
-
-    def replace_open_value(self, key: str, value: object) -> None:
-        start, _ = self.open[key]
-        self.open[key] = (start, value)
-
-    # thread state helpers
-    def thread_state(self, tid: int) -> ThreadState | None:
-        return self.open_value(thread_state_key(tid))  # type: ignore[return-value]
-
-    def set_thread_state(self, tid: int, t: int, st: ThreadState) -> None:
-        self.known_tids.add(tid)
-        self.set_open(thread_state_key(tid), t, st)
-
     def mark_running(self, tid: int, cpu: int, t: int) -> None:
         """A thread first observed through its own actor event (syscall,
         I/O, counter, span marker) was already executing on that CPU."""
-        if tid in self.known_tids:
+        if tid in self.state:
             return
-        self.set_thread_state(tid, t, RUNNING)
-        self.set_open(thread_cpu_key(tid), t, cpu)
-        if self.open_value(cpu_current_key(cpu)) is None:
-            self.set_open(cpu_current_key(cpu), t, tid)
+        self.state[tid].set(t, RUNNING)
+        self.cpu[tid].set(t, cpu)
+        current = self.current_tid[cpu]
+        if current.value is None:
+            current.set(t, tid)
 
     _ACTOR_KINDS = frozenset((
         EventKind.SYSCALL_ENTRY, EventKind.SYSCALL_EXIT,
@@ -377,7 +371,7 @@ class _Builder:
             # counter fast path: one step per event, a shared timestamp
             # keeps only its last total (as zero-length intervals were dropped)
             tid, ts = ev.tid, ev.ts
-            if tid not in self.known_tids:
+            if tid not in self.state:
                 self.mark_running(tid, ev.cpu, ts)
             delta = ev.payload["bytes"] if kind is not EventKind.PAGE_FAULT else 1
             if delta == 0:
@@ -408,7 +402,7 @@ class _Builder:
         elif kind is EventKind.SYSCALL_ENTRY:
             stack = self.syscall_stack.setdefault(ev.tid, [])
             stack.append(ev.payload["name"])
-            self.set_open(thread_syscall_key(ev.tid), ev.ts, ev.payload["name"])
+            self.syscall[ev.tid].set(ev.ts, ev.payload["name"])
         elif kind is EventKind.SYSCALL_EXIT:
             stack = self.syscall_stack.get(ev.tid)
             if not stack or stack[-1] != ev.payload["name"]:
@@ -416,10 +410,7 @@ class _Builder:
                     f"ts={ev.ts}: syscall_exit({ev.payload['name']}) on tid {ev.tid} "
                     "does not match an open entry")
             stack.pop()
-            if stack:
-                self.set_open(thread_syscall_key(ev.tid), ev.ts, stack[-1])
-            else:
-                self.close_open(thread_syscall_key(ev.tid), ev.ts)
+            self.syscall[ev.tid].set(ev.ts, stack[-1] if stack else None)
         elif kind is EventKind.BLOCK_RQ_ISSUE:
             self.dev_fifo.setdefault(ev.payload["dev"], deque()).append((ev.tid, ev.ts))
         elif kind is EventKind.BLOCK_RQ_COMPLETE:
@@ -430,25 +421,23 @@ class _Builder:
     def _on_switch(self, ev: TraceEvent) -> None:
         t, cpu = ev.ts, ev.cpu
         prev, nxt = ev.payload["prev_tid"], ev.payload["next_tid"]
-        cpu_key = cpu_current_key(cpu)
-        occupant = self.open_value(cpu_key)
-        if occupant is not None and occupant != prev:
+        current = self.current_tid[cpu]
+        if current.value is not None and current.value != prev:
             raise SwitchConflict(
-                f"ts={t}: cpu {cpu} runs tid {occupant}, switch names prev {prev}")
-        nxt_state = self.thread_state(nxt)
-        if nxt_state is not None and nxt_state.kind is StateKind.RUNNING:
+                f"ts={t}: cpu {cpu} runs tid {current.value}, switch names prev {prev}")
+        nxt_state = self.state[nxt]
+        if nxt_state.value is not None and nxt_state.value.kind is StateKind.RUNNING:
             raise SwitchConflict(
-                f"ts={t}: tid {nxt} already running on cpu "
-                f"{self.open_value(thread_cpu_key(nxt))}")
+                f"ts={t}: tid {nxt} already running on cpu {self.cpu[nxt].value}")
         if ev.payload["prev_state"] == "blocked":
             out_state = ThreadState(StateKind.BLOCKED, BlockReason.UNKNOWN, None)
         else:
             out_state = RUNNABLE
-        self.set_thread_state(prev, t, out_state)
-        self.close_open(thread_cpu_key(prev), t)
-        self.set_thread_state(nxt, t, RUNNING)
-        self.set_open(thread_cpu_key(nxt), t, cpu)
-        self.set_open(cpu_key, t, nxt)
+        self.state[prev].set(t, out_state)
+        self.cpu[prev].set(t, None)
+        nxt_state.set(t, RUNNING)
+        self.cpu[nxt].set(t, cpu)
+        current.set(t, nxt)
 
     def _wake_reason(self, ev: TraceEvent) -> ThreadState:
         ctx = ev.payload["waker_context"]
@@ -472,27 +461,22 @@ class _Builder:
         return ThreadState(StateKind.BLOCKED, BlockReason.UNKNOWN, None)
 
     def _on_wakeup(self, ev: TraceEvent) -> None:
-        wakee = ev.payload["wakee_tid"]
-        key = thread_state_key(wakee)
-        cur = self.thread_state(wakee)
+        series = self.state[ev.payload["wakee_tid"]]
+        cur = series.value
         if cur is not None and cur.kind is StateKind.BLOCKED:
             # The reason is only known now, from the waking context: patch
             # the still-open blocked interval before closing it.
-            self.replace_open_value(key, self._wake_reason(ev))
-            self.set_open(key, ev.ts, RUNNABLE)
+            series.value = self._wake_reason(ev)
+            series.set(ev.ts, RUNNABLE)
         elif cur is None:
-            self.set_thread_state(wakee, ev.ts, RUNNABLE)
+            series.set(ev.ts, RUNNABLE)
         # already runnable/running: spurious wake, no transition
 
     def _on_irq_entry(self, ev: TraceEvent) -> None:
         stack = self.irq_stack.setdefault(ev.cpu, [])
         stack.append(_irq_frame(ev))
         if len(stack) == 1:
-            occupant = self.open_value(cpu_current_key(ev.cpu))
-            if occupant is not None:
-                st = self.thread_state(int(occupant))
-                if st is not None and st.kind is StateKind.RUNNING:
-                    self.set_thread_state(int(occupant), ev.ts, INTERRUPTED)
+            self._flip_occupant(ev, StateKind.RUNNING, INTERRUPTED)
 
     def _on_irq_exit(self, ev: TraceEvent) -> None:
         stack = self.irq_stack.get(ev.cpu)
@@ -501,11 +485,14 @@ class _Builder:
                 f"ts={ev.ts}: {ev.kind.value} on cpu {ev.cpu} does not match an open entry")
         stack.pop()
         if not stack:
-            occupant = self.open_value(cpu_current_key(ev.cpu))
-            if occupant is not None:
-                st = self.thread_state(int(occupant))
-                if st is not None and st.kind is StateKind.INTERRUPTED:
-                    self.set_thread_state(int(occupant), ev.ts, RUNNING)
+            self._flip_occupant(ev, StateKind.INTERRUPTED, RUNNING)
+
+    def _flip_occupant(self, ev: TraceEvent, kind: StateKind, to: ThreadState) -> None:
+        """The thread on the event's CPU, if its state is of kind, goes to
+        state ``to`` at the event.  An occupant always has a state."""
+        occupant = self.current_tid[ev.cpu].value
+        if occupant is not None and self.state[occupant].value.kind is kind:
+            self.state[occupant].set(ev.ts, to)
 
     def _on_rq_complete(self, ev: TraceEvent) -> None:
         dev = ev.payload["dev"]
@@ -514,15 +501,21 @@ class _Builder:
             raise NestingViolation(
                 f"ts={ev.ts}: block_rq_complete on dev {dev} without an issue")
         tid, issued = fifo.popleft()
-        service_start = max(issued, self.dev_last_end.get(dev, 0))
-        if service_start < ev.ts:
-            self._append(disk_active_key(dev), service_start, ev.ts, tid)
-        self.dev_last_end[dev] = ev.ts
+        series = self.active_tid[dev]
+        series.set(max(issued, series.t), tid)
+        series.set(ev.ts, None)
 
     def finish(self) -> StateDatabase:
         end = self.t_max
-        for key in sorted(self.open):
-            self.close_open(key, end)
+        intervals: dict[str, IntervalColumns] = {}
+        families = ((self.state, thread_state_key), (self.syscall, thread_syscall_key),
+                    (self.cpu, thread_cpu_key), (self.current_tid, cpu_current_key),
+                    (self.active_tid, disk_active_key))
+        for family, key in families:
+            for name, series in family.items():
+                series.set(end, None)
+                if series.starts:
+                    intervals[key(name)] = (series.starts, series.ends, series.values)
         for columns in self.counters.values():
             for tid, (stamps, totals) in list(columns.items()):
                 # a step at t_max would hold for zero time
@@ -531,7 +524,7 @@ class _Builder:
                     totals.pop()
                     if not stamps:
                         del columns[tid]
-        return StateDatabase(self.intervals, self.counters, self.comms,
+        return StateDatabase(intervals, self.counters, self.comms,
                              self.t_min if self.t_min is not None else 0,
                              end, self.count, self.markers)
 

@@ -35,6 +35,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameter
 from .events import EventKind, TraceEvent, atomic_write_text, json_text, write_trace
+from .states import SOFTIRQ_BLOCK
 
 
 @dataclass
@@ -112,11 +113,16 @@ _LOCK_FILLER, _CPU_FILLER, _DISK_FILLER = 900, 901, 902
 _CPU_ROOT_TID, _IRQ_TID = 3267, 4001
 _GREP_TID, _KW1_TID, _KW2_TID = 9739, 5001, 5002
 _IRQ_LINE = 154
-_SOFTIRQ_BLOCK_VEC = 4
 _DISK_DEV = "sda"
 _LOCK_SYSCALL = "fcntl"
 _DISK_SYSCALL = "newfstat"
 _IRQ_THREAD = "irq/154-hpd"
+
+
+def _too_short(spec: ScenarioSpec, detail: str) -> InvalidParameter:
+    """A refusal of spans too short for the scenario's plan, at detail's ts=."""
+    return InvalidParameter(f"{spec.scenario}: spans too short for the scenario's plan, "
+                            f"{detail}; raise fast_us or slowdown")
 
 
 class _Frame(NamedTuple):
@@ -162,8 +168,8 @@ class _Gen:
             return
         spacing = length // (count + 1)
         if spacing < 1:
-            raise InvalidParameter(
-                f"filler_events={count} does not fit a {length} ns segment")
+            raise _too_short(self.spec, f"filler_events={count} does not fit the "
+                                        f"{length} ns segment at ts={start}")
         kinds = (EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE)
         comm = self.comms[tid]
         randint = self.rng.randint
@@ -232,7 +238,8 @@ class _Gen:
             blocked_total = round(in_sys * 0.82)
             runnable_total = in_sys - blocked_total - run_in
             if blocked_total < rounds or runnable_total < rounds:
-                raise InvalidParameter("span too short for the contention rounds")
+                raise _too_short(spec, f"the slow span at ts={t0} lasts {total} ns, "
+                                       f"too short for {rounds} contention rounds")
             run_slices = _split_exact(run_in, rounds + 1)
             blocks = _split_jitter(blocked_total, rounds, self.rng)
             waits = _split_jitter(runnable_total, rounds, self.rng)
@@ -303,10 +310,9 @@ class _Gen:
             runnable = round(total * 8 / 9)
             running = total - irq_ns - runnable
             if running < 0:
-                raise InvalidParameter(
-                    f"{spec.scenario}: spans too short for the scenario's plan, the slow "
-                    f"span at ts={t0} lasts {total} ns, less than its {irq_ns} ns "
-                    f"interrupt and {runnable} ns runnable wait; raise fast_us or slowdown")
+                raise _too_short(spec, f"the slow span at ts={t0} lasts {total} ns, less "
+                                       f"than its {irq_ns} ns interrupt and {runnable} ns "
+                                       "runnable wait")
             a1 = round(running * 0.45)
             a1b = round(running * 0.05)
             self.filler(out, _CPU_CPU, root, t0, a1, spec.filler_events)
@@ -363,12 +369,12 @@ class _Gen:
             tw = t1 + in_sys - eps
             self._disk_traffic(out, tb, tw, in_sys)
             out.append(self.ev(tw - 1_000, _DISK_CPU, _DISK_FILLER,
-                               EventKind.SOFTIRQ_ENTRY, vec=_SOFTIRQ_BLOCK_VEC))
+                               EventKind.SOFTIRQ_ENTRY, vec=SOFTIRQ_BLOCK))
             out.append(self.ev(tw, _DISK_CPU, _DISK_FILLER, EventKind.SCHED_WAKEUP,
                                waker_tid=_DISK_FILLER, wakee_tid=root,
                                waker_context="softirq"))
             out.append(self.ev(tw, _DISK_CPU, _DISK_FILLER,
-                               EventKind.SOFTIRQ_EXIT, vec=_SOFTIRQ_BLOCK_VEC))
+                               EventKind.SOFTIRQ_EXIT, vec=SOFTIRQ_BLOCK))
             out.append(self.switch(tw, _DISK_CPU, _DISK_FILLER, "runnable", root))
             t2 = t1 + in_sys
             out.append(self.ev(t2, _DISK_CPU, root, EventKind.SYSCALL_EXIT,
@@ -395,7 +401,8 @@ class _Gen:
         idle_total = max(0, round(in_sys * 0.02))
         kw_total = window - grep_total - idle_total
         if kw_total < 2:
-            raise InvalidParameter("disk span too short for the traffic plan")
+            raise _too_short(self.spec, f"the disk wait at ts={tb} leaves {kw_total} ns "
+                                        "for the kworkers' requests")
         grep_chunks = _split_jitter(grep_total, 4, self.rng)
         kw1_chunks = _split_jitter(kw_total // 2, 2, self.rng)
         kw2_chunks = _split_jitter(kw_total - kw_total // 2, 2, self.rng)
@@ -440,9 +447,7 @@ def _last_ts(spec: ScenarioSpec, events: list[TraceEvent], last: int) -> int:
     """The events' last timestamp; InvalidParameter if one goes back in time."""
     for ev in events:
         if ev.ts < last:
-            raise InvalidParameter(
-                f"{spec.scenario}: spans too short for the scenario's plan, an event "
-                f"at ts={ev.ts} would follow one at ts={last}; raise fast_us or slowdown")
+            raise _too_short(spec, f"an event at ts={ev.ts} would follow one at ts={last}")
         last = ev.ts
     return last
 

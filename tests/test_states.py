@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import repeat
 
@@ -23,6 +24,7 @@ from waitgraph.states import (
     thread_state_key,
     thread_syscall_key,
 )
+from waitgraph.synth import ScenarioSpec, generate
 from oracles import counter_lines_by_scan, linear_query_range
 from randtrace import random_trace
 
@@ -216,7 +218,8 @@ def test_switch_conflict_detected():
         switch(0, 99, A, cpu=0),
         switch(10, B, 44, cpu=0),  # cpu0 runs A, not B
     ]
-    with pytest.raises(SwitchConflict):
+    with pytest.raises(SwitchConflict,
+                       match=r"^ts=10: cpu 0 runs tid 11, switch names prev 22$"):
         build_state_db(events)
 
 
@@ -225,7 +228,7 @@ def test_thread_on_two_cpus_conflict():
         switch(0, 98, A, cpu=0),
         switch(10, 99, A, cpu=1),
     ]
-    with pytest.raises(SwitchConflict):
+    with pytest.raises(SwitchConflict, match=r"^ts=10: tid 11 already running on cpu 0$"):
         build_state_db(events)
 
 
@@ -494,6 +497,44 @@ def test_range_columns_match_query_range_and_linear_oracle(seed, restored):
         for prefix in ("thread/", "thread/1", "cpu/", "disk/", "none/"):
             assert list(db.slices(prefix, t_a, t_b)) == \
                 [sv for sv in listing if sv.key.startswith(prefix)]
+
+
+def _listing(db) -> str:
+    """What `waitgraph inspect` prints for the whole trace, then the bounds,
+    the event count and the comms."""
+    return "".join(f"{sv.key}\t[{sv.start}, {sv.end})\t{sv.value}\n"
+                   for sv in db.slices("", db.t_min, db.t_max + 1)) \
+        + repr((db.t_min, db.t_max, db.events_consumed, sorted(db.comms.items())))
+
+
+# sha256 of the listing of every trace of a case, one after the other: the
+# synth scenarios at test_synth._PINNED's seeds, and 100 random traces; a
+# change to the fold must leave these unchanged
+_PINNED_DBS = {
+    ("lock", 3): "bb3df032d6fd90c4f9e75d2997160acd3d0dfc5adff935997cc3f3b2063ffede",
+    ("cpu", 4): "2a71f7b90a2391dd9980e9e47d699397731e1059509d79ea0ab48c0947bb3e2a",
+    ("disk", 5): "a85dfd4eb16d20b85dd16b246c916f80320a2875cfb618fddaa8a55aeae67434",
+    ("mixed", 6): "0ff47bc811d1d7488297c09e1d96ac9656fa81ee633e3097155a906fe322ad00",
+    ("random", None): "a8e3fbb333b1c5700b626eaa4b29ceb3d31c6863e285482408ab18dcdf138d6e",
+}
+
+
+@pytest.mark.parametrize("restored", [False, True], ids=["fold", "restored"])
+@pytest.mark.parametrize("scenario, seed", list(_PINNED_DBS))
+def test_state_db_matches_pinned_digests(scenario, seed, restored):
+    if scenario == "random":
+        # two devices and nested interrupts, at lengths from 150 to 1500 events
+        traces = (random_trace(seed=s, n_events=random.Random(s).randint(150, 1500))
+                  for s in range(100))
+    else:
+        traces = [generate(ScenarioSpec(scenario, seed=seed, n_spans=16))[0]]
+    h = hashlib.sha256()
+    for events in traces:
+        db = build_state_db(events)
+        if restored:
+            db = _decode_state(*_encode_state(db))
+        h.update(_listing(db).encode())
+    assert h.hexdigest() == _PINNED_DBS[scenario, seed]
 
 
 def test_irq_context_wake_stays_unknown():

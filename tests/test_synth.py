@@ -46,7 +46,9 @@ _SCENARIOS = ("lock", "cpu", "disk", "mixed")
 _SHORT = {"all_fast_1us": dict(fast_us=1, slow_fraction=0, filler_events=0),
           "all_slow_1us": dict(fast_us=1, slow_fraction=1, filler_events=0),
           "all_slow_20us": dict(fast_us=20, slow_fraction=1, filler_events=0),
-          "all_slow_1us_filler": dict(fast_us=1, slow_fraction=1, filler_events=1)}
+          "all_slow_1us_filler": dict(fast_us=1, slow_fraction=1, filler_events=1),
+          "tiny_1ns": dict(fast_us=0.001),
+          "tiny_1ns_slow": dict(fast_us=0.001, slow_fraction=1, filler_events=0)}
 
 
 @pytest.mark.parametrize("scenario, params", [
@@ -59,7 +61,7 @@ def test_generated_traces_pass_validation(scenario, params):
         raw = _trace_bytes(spec)
     except InvalidParameter as exc:
         # too short for the scenario's plan: refused while generating, naming
-        # a timestamp (not a "filler_events=" count)
+        # a timestamp
         assert params and re.search(r"spans too short .*\bts=\d", str(exc))
         return
     events = read_trace(raw)          # reader validation of each record
