@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 from .errors import EmptyCluster, InvalidParameter, RootConflict, TooFewSpans
 from .events import ExecutionSpan
-from .graph import _DOT_SHAPES, DepGraph, NodeId, NodeKind, _quote, node_id_str
+from .graph import (_DOT_SHAPES, DepGraph, NodeId, _edge_order, _quote, node_id_str,
+                    node_kind, node_label)
 from .states import (
     COUNTERS,
     BlockReason,
@@ -97,8 +98,9 @@ def normalize_features(points: Sequence[Sequence[float]]) -> list[list[float]]:
     return out
 
 
+# math.fsum rounds once, so float sums are the same on every Python version
 def _sqdist(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    return math.fsum((x - y) ** 2 for x, y in zip(a, b))
 
 
 def _nearest(point: Sequence[float], centroids: Sequence[Sequence[float]]) -> int:
@@ -168,7 +170,7 @@ def kmeans(points: Sequence[Sequence[float]], k: int, seed: int,
         centroids = []
         for c in range(k):
             members = [points[i] for i in range(n) if assign[i] == c]
-            centroids.append([sum(m[d] for m in members) / len(members)
+            centroids.append([math.fsum(m[d] for m in members) / len(members)
                               for d in range(dims)])
         seen[key] = centroids
     return assign, centroids, max_iter
@@ -233,8 +235,6 @@ def read_clustering_report(path: str) -> dict[int, list[str]]:
 @dataclass
 class RepNode:
     node_id: NodeId
-    kind: NodeKind
-    label: str
     mean_total_ns: float
 
 
@@ -258,8 +258,8 @@ class RepresentativeGraph:
 
 
 def _mean_pstd(values: Sequence[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+    mean = math.fsum(values) / len(values)
+    var = math.fsum((v - mean) ** 2 for v in values) / len(values)
     return mean, math.sqrt(var)
 
 
@@ -277,23 +277,12 @@ def representative(graphs: Sequence[DepGraph]) -> RepresentativeGraph:
             raise RootConflict(
                 f"cluster mixes roots {root} and {g.root_id}")
     n = len(graphs)
-    nodes: dict[NodeId, RepNode] = {}
-    for g in graphs:
-        for nid, node in g.nodes.items():
-            if nid not in nodes:
-                nodes[nid] = RepNode(nid, node.kind, node.label, 0.0)
-    for nid, rep in nodes.items():
-        totals = [g.nodes[nid].total_ns if nid in g.nodes else 0 for g in graphs]
-        rep.mean_total_ns = sum(totals) / n
+    # node and edge keys in first-seen order
+    nodes = {nid: RepNode(nid, sum(g.nodes[nid].total_ns for g in graphs
+                                   if nid in g.nodes) / n)
+             for nid in dict.fromkeys(nid for g in graphs for nid in g.nodes)}
     edges: dict[tuple[NodeId, NodeId], RepEdge] = {}
-    edge_keys: list[tuple[NodeId, NodeId]] = []
-    seen = set()
-    for g in graphs:
-        for key in g.edges:
-            if key not in seen:
-                seen.add(key)
-                edge_keys.append(key)
-    for key in edge_keys:
+    for key in dict.fromkeys(key for g in graphs for key in g.edges):
         weights = [float(g.edges[key].weight_ns) if key in g.edges else 0.0
                    for g in graphs]
         counts = [float(g.edges[key].count) if key in g.edges else 0.0
@@ -345,8 +334,6 @@ class ComparisonEdge:
 @dataclass
 class ComparisonNode:
     node_id: NodeId
-    kind: NodeKind
-    label: str
     presence: str  # "left" | "right" | "both"
     boldness: int
 
@@ -377,9 +364,7 @@ def compare(left: RepresentativeGraph, right: RepresentativeGraph,
         return e.mean_weight_ns, e.std_weight_ns
 
     edges: dict[tuple[NodeId, NodeId], ComparisonEdge] = {}
-    keys = list(left.edges)
-    keys.extend(k for k in right.edges if k not in left.edges)
-    for key in keys:
+    for key in dict.fromkeys([*left.edges, *right.edges]):
         in_l, in_r = key in left.edges, key in right.edges
         if in_l and in_r:
             ml, sl = stats_of(left, key)
@@ -400,13 +385,10 @@ def compare(left: RepresentativeGraph, right: RepresentativeGraph,
             edges[key] = ComparisonEdge(key[0], key[1], EdgeStyle.DOTTED,
                                         None, 0.0, 0.0, mr, None)
     nodes: dict[NodeId, ComparisonNode] = {}
-    for rep, side in ((left, "left"), (right, "right")):
-        for nid, node in rep.nodes.items():
-            cur = nodes.get(nid)
-            if cur is None:
-                nodes[nid] = ComparisonNode(nid, node.kind, node.label, side, 1)
-            elif cur.presence != side:
-                cur.presence = "both"
+    for nid in dict.fromkeys([*left.nodes, *right.nodes]):
+        in_l, in_r = nid in left.nodes, nid in right.nodes
+        nodes[nid] = ComparisonNode(nid, "both" if in_l and in_r else
+                                    "left" if in_l else "right", 1)
     for edge in edges.values():
         if edge.boldness is None:
             continue
@@ -425,10 +407,10 @@ def comparison_to_dot(cg: ComparisonGraph) -> str:
     for nid in sorted(cg.nodes, key=node_id_str):
         node = cg.nodes[nid]
         lines.append(
-            f"  {_quote(node_id_str(nid))} [shape={_DOT_SHAPES[node.kind]}, "
+            f"  {_quote(node_id_str(nid))} [shape={_DOT_SHAPES[node_kind(nid)]}, "
             f"style={_NODE_STYLE[node.presence]}, "
-            f"label={_quote(node.label)}];")
-    for key in sorted(cg.edges, key=lambda k: (node_id_str(k[0]), node_id_str(k[1]))):
+            f"label={_quote(node_label(nid))}];")
+    for key in _edge_order(cg.edges):
         edge = cg.edges[key]
         pen = edge.boldness if edge.boldness is not None else 1
         lines.append(
@@ -439,11 +421,11 @@ def comparison_to_dot(cg: ComparisonGraph) -> str:
 
 
 def comparison_to_json_dict(cg: ComparisonGraph) -> dict:
-    nodes = [{"id": node_id_str(nid), "kind": n.kind.value, "label": n.label,
-              "presence": n.presence, "boldness": n.boldness}
+    nodes = [{"id": node_id_str(nid), "kind": node_kind(nid).value,
+              "label": node_label(nid), "presence": n.presence, "boldness": n.boldness}
              for nid, n in sorted(cg.nodes.items(), key=lambda kv: node_id_str(kv[0]))]
     edges = []
-    for key in sorted(cg.edges, key=lambda k: (node_id_str(k[0]), node_id_str(k[1]))):
+    for key in _edge_order(cg.edges):
         e = cg.edges[key]
         edges.append({"src": node_id_str(e.src), "dst": node_id_str(e.dst),
                       "style": e.style.value, "boldness": e.boldness,

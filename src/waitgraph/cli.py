@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import analysis, events, graph, states, synth
-from .errors import InputError, InvalidParameter, TraceAnalysisError
+from .errors import InputError, InvalidParameter, OverlappingSpan, TraceAnalysisError
 from .events import (atomic_output, atomic_write_text, extract_spans, iter_trace,
                      json_text)
 from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up here)
@@ -48,10 +48,9 @@ _SIDECAR_SOURCES = (events.__file__, states.__file__, __file__)
 def _sidecar_prefix(raw) -> bytes | None:
     """The header a sidecar of the open trace must start with, or None
     when the trace or the source cannot be read."""
-    trace, source = hashlib.sha256(), hashlib.sha256()
+    source = hashlib.sha256()
     try:
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
-            trace.update(chunk)
+        trace = hashlib.file_digest(raw, "sha256")
         for path in _SIDECAR_SOURCES:
             source.update(Path(path).read_bytes())
     except OSError:
@@ -122,6 +121,19 @@ def _load_pipeline(trace_path: str):
     return db
 
 
+def _load_spans(trace_path: str):
+    """The trace's state DB (see _load_pipeline) and its completed spans by
+    id.  Raises OverlappingSpan when two completed spans share an id."""
+    db = _load_pipeline(trace_path)
+    spans = {}
+    for span in extract_spans(db.markers).spans:
+        first = spans.setdefault(span.span_id, span)
+        if first is not span:
+            raise OverlappingSpan(f"span {span.span_id!r} is used twice: it begins "
+                                  f"at ts={first.t_start} and at ts={span.t_start}")
+    return db, spans
+
+
 def cmd_synth(args) -> int:
     spec = synth.ScenarioSpec(**{f.name: getattr(args, f.name)
                                  for f in fields(synth.ScenarioSpec)})
@@ -136,9 +148,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    db = _load_pipeline(args.trace)
-    extraction = extract_spans(db.markers)
-    span = next((s for s in extraction.spans if s.span_id == args.span), None)
+    db, spans = _load_spans(args.trace)
+    span = spans.get(args.span)
     if span is None:
         raise _NotFound(f"span {args.span!r} not found in {args.trace}")
     g = graph.build_span_graph(db, span, max_depth=args.max_depth)
@@ -156,9 +167,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    db = _load_pipeline(args.trace)
-    extraction = extract_spans(db.markers)
-    feats = {s.span_id: analysis.extract_features(db, s) for s in extraction.spans}
+    db, spans = _load_spans(args.trace)
+    feats = {sid: analysis.extract_features(db, s) for sid, s in spans.items()}
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
     atomic_write_text(args.out, json_text(report))
@@ -171,10 +181,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    db = _load_pipeline(args.trace)
-    extraction = extract_spans(db.markers)
+    db, spans = _load_spans(args.trace)
     by_cluster = analysis.read_clustering_report(args.report)
-    spans_by_id = {s.span_id: s for s in extraction.spans}
     reps = []
     for cluster_id in (args.left, args.right):
         ids = by_cluster.get(cluster_id)
@@ -182,7 +190,7 @@ def cmd_compare(args) -> int:
             raise _NotFound(f"cluster {cluster_id} has no spans in {args.report}")
         graphs = []
         for sid in sorted(ids):
-            span = spans_by_id.get(sid)
+            span = spans.get(sid)
             if span is None:
                 raise _NotFound(f"span {sid!r} from report not in trace")
             graphs.append(graph.canonicalize(

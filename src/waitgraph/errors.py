@@ -50,7 +50,8 @@ class UnmatchedEnd(InputError):
 
 
 class OverlappingSpan(InputError):
-    """A span begin delimiter re-opened a span id that is still open."""
+    """A span begin delimiter re-opened a span id that is still open, or a
+    command that looks spans up by id found two completed spans sharing one."""
 
 
 class EmptySpan(InputError):

@@ -40,8 +40,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, tee
-from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -429,10 +427,9 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     """
     open_by_key: dict[str, tuple[int, int]] = {}  # span_id -> (root_tid, t_start)
     done: list[ExecutionSpan] = []
-    # pick the markers out at C speed; tee keeps a one-shot iterator streaming
-    events, kinds = tee(events)
-    for ev in compress(events, map(MARKER_KINDS.__contains__,
-                                   map(attrgetter("kind"), kinds))):
+    for ev in events:
+        if ev.kind not in MARKER_KINDS:
+            continue
         key = ev.payload["span_id"]
         if ev.kind is EventKind.SPAN_BEGIN:
             if key in open_by_key:

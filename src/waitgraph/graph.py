@@ -71,12 +71,31 @@ _RUNNING, _RUNNABLE, _INTERRUPTED = (StateKind.RUNNING, StateKind.RUNNABLE,
                                      StateKind.INTERRUPTED)
 
 
+def node_kind(node_id: NodeId) -> NodeKind:
+    return NodeKind(node_id[0])
+
+
+def node_label(node_id: NodeId) -> str:
+    kind = node_id[0]
+    if kind == "thread":
+        return f"{node_id[2]}-{node_id[1]}" if len(node_id) == 3 else node_id[1]
+    if kind == "syscall":
+        return node_id[2] if len(node_id) == 3 else node_id[1]
+    return node_id[1]
+
+
 @dataclass
 class DepNode:
     node_id: NodeId
-    kind: NodeKind
-    label: str
     total_ns: int = 0
+
+    @property
+    def kind(self) -> NodeKind:
+        return node_kind(self.node_id)
+
+    @property
+    def label(self) -> str:
+        return node_label(self.node_id)
 
     @property
     def total_us(self) -> int:
@@ -110,18 +129,6 @@ class DepGraph:
         return self.nodes[self.root_id]
 
 
-def _node_label(node_id: NodeId) -> str:
-    kind = node_id[0]
-    if kind == "thread":
-        return f"{node_id[2]}-{node_id[1]}" if len(node_id) == 3 else node_id[1]
-    if kind == "syscall":
-        return node_id[2] if len(node_id) == 3 else node_id[1]
-    return node_id[1]
-
-
-_KIND_BY_TAG = {kind.value: kind for kind in NodeKind}
-
-
 def _device_label(key: str) -> str:
     """The device an occupancy key names: disk/sda/... -> sda, cpu/1/... -> cpu1."""
     family, dev, _ = key.split("/")
@@ -150,7 +157,7 @@ def _merged_span_total(rows: list[tuple[int, int, str]]) -> int:
 def ensure_node(graph: DepGraph, node_id: NodeId) -> DepNode:
     node = graph.nodes.get(node_id)
     if node is None:
-        node = DepNode(node_id, _KIND_BY_TAG[node_id[0]], _node_label(node_id))
+        node = DepNode(node_id)
         graph.nodes[node_id] = node
     return node
 
@@ -177,7 +184,7 @@ def add_edge(graph: DepGraph, src: NodeId, dst: NodeId, weight_ns: int,
     ensure_node(graph, src)
     node = ensure_node(graph, dst)
     _fold_edge(graph.edges, src, dst, weight_ns, count, devices)
-    if node.kind is NodeKind.RESOURCE:
+    if dst[0] == "resource":
         node.total_ns += weight_ns
 
 
@@ -202,13 +209,9 @@ class _GraphBuilder:
         self.stack_tids: list[int] = []
 
     def build(self, root_tid: int, ts_s: int, ts_e: int) -> DepGraph:
-        root_id = thread_node_id(root_tid, self.db.comm(root_tid))
-        self.graph = DepGraph(root_id)
-        ensure_node(self.graph, root_id).total_ns += ts_e - ts_s
-        self.visited.add((root_tid, ts_s, ts_e))
-        self.stack_tids.append(root_tid)
-        self._walk(root_tid, ts_s, ts_e, depth=0)
-        self.stack_tids.pop()
+        self.graph = DepGraph(self._thread_id(root_tid))
+        # the root enters one level above depth 0, so its walk runs at depth 0
+        self._recurse(root_tid, ts_s, ts_e, -1)
         return self.graph
 
     def _thread_id(self, tid: int) -> NodeId:
@@ -384,6 +387,11 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _edge_order(edges: dict) -> list:
+    """An edge map's (src, dst) keys in render order, by their string ids."""
+    return sorted(edges, key=lambda k: (node_id_str(k[0]), node_id_str(k[1])))
+
+
 def to_dot(graph: DepGraph, percentages: bool = True,
            min_edge_us: int = 0) -> str:
     """Render a deterministic DOT digraph.
@@ -398,12 +406,12 @@ def to_dot(graph: DepGraph, percentages: bool = True,
     lines = ["digraph waits {", "  rankdir=TB;"]
     for node_id in sorted(graph.nodes, key=node_id_str):
         node = graph.nodes[node_id]
-        label = f"{node.label} ({node.total_us} µs)"
-        shape = _DOT_SHAPES[node.kind]
+        label = f"{node_label(node_id)} ({node.total_us} µs)"
+        shape = _DOT_SHAPES[node_kind(node_id)]
         extra = ", penwidth=2" if node_id == graph.root_id else ""
         lines.append(f"  {_quote(node_id_str(node_id))} "
                      f"[shape={shape}, label={_quote(label)}{extra}];")
-    for key in sorted(graph.edges, key=lambda k: (node_id_str(k[0]), node_id_str(k[1]))):
+    for key in _edge_order(graph.edges):
         edge = graph.edges[key]
         if edge.weight_us < min_edge_us:
             continue
@@ -423,10 +431,10 @@ def to_json_dict(graph: DepGraph) -> dict:
     nodes = []
     for node_id in sorted(graph.nodes, key=node_id_str):
         node = graph.nodes[node_id]
-        nodes.append({"id": node_id_str(node_id), "kind": node.kind.value,
-                      "label": node.label, "total_us": node.total_ns / 1000})
+        nodes.append({"id": node_id_str(node_id), "kind": node_kind(node_id).value,
+                      "label": node_label(node_id), "total_us": node.total_ns / 1000})
     edges = []
-    for key in sorted(graph.edges, key=lambda k: (node_id_str(k[0]), node_id_str(k[1]))):
+    for key in _edge_order(graph.edges):
         edge = graph.edges[key]
         rec = {"src": node_id_str(edge.src), "dst": node_id_str(edge.dst),
                "weight_us": edge.weight_ns / 1000, "count": edge.count}

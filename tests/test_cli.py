@@ -199,6 +199,26 @@ def test_cluster_matches_ground_truth_and_is_deterministic(lock_dir, tmp_path):
     assert second.read_bytes() == report_path.read_bytes()
 
 
+# sha256 of the cluster report and the compare JSON of a 200-span lock trace:
+# k-means and the representative statistics sum floats, and these bytes must
+# not depend on the Python version
+_PINNED_REPORT = "46044fa3ab58cd558ce3e6b8df4ee547d602833b40c07c69d880fc2153bb023a"
+_PINNED_COMPARISON = "5317b5a7118c85042ef23c431a057c13ae7393444db5a37a830b9c40266d4dc5"
+
+
+def test_cluster_and_compare_bytes_match_pinned_digests(tmp_path):
+    assert main(["synth", "--scenario", "lock", "--seed", "7", "--spans", "200",
+                 "--out-dir", str(tmp_path)]) == 0
+    trace, report, comparison = (str(tmp_path / "trace.jsonl"), tmp_path / "r.json",
+                                 tmp_path / "c.json")
+    assert main(["cluster", trace, "--k", "2", "--seed", "0", "--out", str(report)]) == 0
+    assert main(["compare", trace, "--report", str(report), "--left", "0",
+                 "--right", "1", "--stat", "duration", "--out", str(tmp_path / "c.dot"),
+                 "--json", str(comparison)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == _PINNED_REPORT
+    assert hashlib.sha256(comparison.read_bytes()).hexdigest() == _PINNED_COMPARISON
+
+
 def test_cluster_too_few_spans_exits_2(lock_dir, tmp_path, capsys):
     rc = main(["cluster", str(lock_dir / "trace.jsonl"), "--k", "99",
                "--out", str(tmp_path / "r.json")])
@@ -632,6 +652,24 @@ def test_zero_length_span_exits_2_with_ts(tmp_path, capsys, command):
     err = _exits_2(argv + (["--span", "s0000"] if command == "graph" else []),
                    capsys)
     assert "'s0000'" in err and "ts=7" in err
+
+
+@pytest.mark.parametrize("command", ["graph", "cluster", "compare"])
+def test_reused_span_id_exits_2_naming_both_begins(tmp_path, capsys, command):
+    markers = [("span_begin", "a", 10), ("span_end", "a", 30), ("span_begin", "b", 40),
+               ("span_end", "b", 50), ("span_begin", "a", 60), ("span_end", "a", 90)]
+    trace = _jsonl(tmp_path, *({"ts": ts, "kind": kind, "span_id": sid}
+                               for kind, sid, ts in markers))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"spans": [{"span_id": "a", "cluster": 0},
+                                            {"span_id": "b", "cluster": 1}]}))
+    out = tmp_path / "x.out"
+    extra = {"graph": ["--span", "a"], "cluster": [],
+             "compare": ["--report", str(report), "--left", "0", "--right", "1"]}
+    err = _exits_2([command, str(trace), "--out", str(out), *extra[command]], capsys)
+    assert "'a'" in err and "ts=10" in err and "ts=60" in err
+    assert not out.exists()
+    assert main(["inspect", str(trace)]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--fast-us", "--slowdown"])

@@ -20,7 +20,7 @@ from waitgraph.graph import (
     to_dot,
     to_json_dict,
 )
-from waitgraph.states import build_state_db
+from waitgraph.states import BlockReason, StateKind, build_state_db, thread_state_key
 from waitgraph.synth import ScenarioSpec, generate
 from conftest import slow_ids
 from oracles import brute_force_edge_weights
@@ -319,6 +319,49 @@ def test_edge_weights_match_brute_force(seed, max_depth):
 def test_small_depth_caps_truncate_the_random_walks():
     # the capped cases above exercise the truncation branch of the walk
     assert any(_random_walk(seed, 1)[0].depth_truncated for seed in range(10))
+
+
+# the root's states that name nothing it waited on, so produce no out-edge
+_NO_EDGE_STATES = {(StateKind.RUNNING, None), (StateKind.INTERRUPTED, None),
+                   (StateKind.BLOCKED, BlockReason.TIMER),
+                   (StateKind.BLOCKED, BlockReason.NETWORK),
+                   (StateKind.BLOCKED, BlockReason.UNKNOWN)}
+
+
+def _assert_time_identities(db, g: DepGraph, root: int, ts_s: int, ts_e: int) -> None:
+    """A syscall node hands on exactly the time waited through it, and the
+    root's edge-free time plus its out-edge weight is the part of the window
+    its state covers."""
+    out_w, in_w = {}, {}
+    for (src, dst), edge in g.edges.items():
+        out_w[src] = out_w.get(src, 0) + edge.weight_ns
+        in_w[dst] = in_w.get(dst, 0) + edge.weight_ns
+    for nid in g.nodes:
+        if nid[0] == "syscall":
+            assert in_w.get(nid, 0) == out_w.get(nid, 0), nid
+    covered = edge_free = 0
+    for start, end, st in zip(*db.range_columns(thread_state_key(root), ts_s, ts_e)):
+        covered += end - start
+        if (st.kind, st.reason) in _NO_EDGE_STATES:
+            edge_free += end - start
+    assert edge_free + out_w.get(g.root_id, 0) == covered
+
+
+def test_graph_time_identities(lock_fixture, cpu_fixture, disk_fixture, mixed_fixture):
+    for fixture in (lock_fixture, cpu_fixture, disk_fixture, mixed_fixture):
+        for span in fixture["spans"]:
+            _assert_time_identities(fixture["db"], build_span_graph(fixture["db"], span),
+                                    span.root_tid, span.t_start, span.t_end)
+    for seed in range(300):
+        rng = random.Random(seed)
+        db = build_state_db(random_trace(seed=seed, n_events=rng.randint(150, 1500)))
+        tids = db.thread_tids()
+        for _ in range(5):
+            root = rng.choice(tids)
+            ts_s = rng.randint(db.t_min, db.t_max - 1)
+            ts_e = rng.randint(ts_s + 1, db.t_max)
+            _assert_time_identities(db, build_depgraph(db, root, ts_s, ts_e),
+                                    root, ts_s, ts_e)
 
 
 class _ReadSpy:
