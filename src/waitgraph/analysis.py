@@ -210,8 +210,9 @@ def clustering_report_dict(clustering: Clustering,
 
 def read_clustering_report(path: str) -> dict[int, list[str]]:
     """Span ids per cluster id from a report of clustering_report_dict.
-    Raises InvalidParameter when the file is not JSON or lacks the
-    ``spans`` list of {"span_id": str, "cluster": int} records."""
+    Raises InvalidParameter when the file is not JSON, lacks the ``spans``
+    list of {"span_id": str, "cluster": int} records, or lists a span id
+    twice, in one cluster or across clusters."""
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -221,12 +222,17 @@ def read_clustering_report(path: str) -> dict[int, list[str]]:
     if not isinstance(spans, list):
         raise InvalidParameter(f"{path}: cluster report has no 'spans' list")
     by_cluster: dict[int, list[str]] = {}
+    seen: set[str] = set()
     for i, rec in enumerate(spans):
         if not isinstance(rec, dict) or type(rec.get("cluster")) is not int \
                 or not isinstance(rec.get("span_id"), str):
             raise InvalidParameter(
                 f"{path}: spans[{i}] needs an integer 'cluster' and a string 'span_id'")
-        by_cluster.setdefault(rec["cluster"], []).append(rec["span_id"])
+        span_id = rec["span_id"]
+        if span_id in seen:
+            raise InvalidParameter(f"{path}: spans[{i}] lists span {span_id!r} again")
+        seen.add(span_id)
+        by_cluster.setdefault(rec["cluster"], []).append(span_id)
     return by_cluster
 
 

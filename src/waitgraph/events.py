@@ -16,7 +16,9 @@ integer nanoseconds; user-facing output is microseconds.
 A counter line (page_fault, io_read, io_write) exactly as write_trace
 writes it is decoded by one regular expression instead of the JSON
 scanner; every other line goes through the JSON path.  Both give the
-same record, so the choice changes no event and no error.
+same record, so the choice changes no event and no error.  Events of one
+read share their equal ints and payloads, and a payload read is
+read-only (see iter_trace).
 
 write_trace writes each line as json.dumps would write event_to_record's
 dict, but fills a prebuilt template per kind: ints through str, and each
@@ -128,12 +130,62 @@ _scan_once = json.JSONDecoder().scan_once
 # JSON integers of at most 18 digits (no sign, no leading zero), comm is a
 # non-empty JSON string with no escape, and tid >= 1: the line decodes to
 # what json.loads and _parse_line's checks would give, so nothing needs
-# re-checking.  A line outside this language takes the JSON path.
+# re-checking.  A line outside this language takes the JSON path.  The
+# fifth group, the text from the kind's name to the end of the payload,
+# keys the line's payload in iter_trace.
 _match_counter_line = re.compile(
     r'\{"ts":(0|[1-9][0-9]{0,17}),"cpu":(0|[1-9][0-9]{0,17}),'
     r'"tid":([1-9][0-9]{0,17}),"comm":"([^"\\\x00-\x1f]+)",'
-    r'"kind":"(?:page_fault"|(io_read|io_write)","bytes":(0|[1-9][0-9]{0,17}))\}\n'
+    r'"kind":"(page_fault"|(io_read|io_write)","bytes":(0|[1-9][0-9]{0,17}))\}\n'
 ).fullmatch
+
+
+class _ReadOnlyPayload(dict):
+    """A payload read from a trace.  One object serves every event of a
+    read with the same kind and payload values, so every mutator raises
+    TypeError.  It compares equal to a plain dict, and pickles and copies
+    to one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a payload read from a trace is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+# entries a sharing table of iter_trace holds before it is cleared, so that
+# a trace of ever new values still reads in constant memory
+_SHARED_MAX = 4096
+
+
+class _SharedInts(dict):
+    """An int, or its decimal text on the counter path -> the one int object
+    of that value.  A str never equals an int, so both keys share a table."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if len(self) >= _SHARED_MAX:
+            self.clear()
+        value = int(key)
+        value = self[key] = self.setdefault(value, value)
+        return value
+
+
+def _share_payload(kind_values: tuple, fields: dict, payloads: dict) -> _ReadOnlyPayload:
+    """The one read-only payload with these fields, kept in payloads under
+    kind_values, (kind, *values)."""
+    payload = payloads.get(kind_values)
+    if payload is None:
+        if len(payloads) >= _SHARED_MAX:
+            payloads.clear()
+        payload = payloads[kind_values] = _ReadOnlyPayload(fields)
+    return payload
 
 
 @dataclass(slots=True)
@@ -144,6 +196,10 @@ class TraceEvent:
     after construction.  The dataclass is not frozen because a frozen
     __init__ sets each field through object.__setattr__, which made
     building an event about three times as slow.
+
+    An event read from a trace shares its payload with every equal event
+    of that read, and that payload is read-only: a mutator raises
+    TypeError.  An event built by a caller keeps the dict it was given.
     """
 
     ts: int
@@ -188,7 +244,10 @@ class SpanExtraction:
     open_spans: list[OpenSpan]
 
 
-def _parse_line(line: str, lineno: int) -> TraceEvent:
+def _parse_line(line: str, lineno: int, ints: _SharedInts,
+                payloads: dict) -> TraceEvent:
+    """The event of a line that passes every record check, its ints and
+    payload taken from the sharing tables of iter_trace."""
     # Fast path: the scanner's value counts only when it ends exactly at the
     # line's newline.  Anything else (a decode error, leading whitespace or
     # BOM, trailing data or blanks, no final newline) goes through json.loads,
@@ -228,7 +287,7 @@ def _parse_line(line: str, lineno: int) -> TraceEvent:
         if type(kind_str) is not str:
             raise MalformedRecord(lineno, "missing or non-string 'kind'")
         raise UnknownEventKind(lineno, kind_str)
-    payload = {}
+    fields = {}
     for key, check in PAYLOAD_FIELDS[kind]:
         try:
             value = obj[key]
@@ -236,10 +295,14 @@ def _parse_line(line: str, lineno: int) -> TraceEvent:
             raise MalformedRecord(lineno, f"{kind_str}: missing key {key!r}") from exc
         if not check(value):
             raise MalformedRecord(lineno, f"{kind_str}: bad value for {key!r}: {value!r}")
-        payload[key] = sys.intern(value) if type(value) is str else value
-    if kind is EventKind.SCHED_SWITCH and payload["prev_tid"] == payload["next_tid"]:
+        fields[key] = sys.intern(value) if type(value) is str else ints[value]
+    if kind is EventKind.SCHED_SWITCH and fields["prev_tid"] == fields["next_tid"]:
         raise MalformedRecord(lineno, "sched_switch: prev_tid == next_tid")
-    return TraceEvent(ts, cpu, tid, sys.intern(comm), kind, payload)
+    kind_values = (kind, *fields.values())
+    payload = payloads.get(kind_values)
+    if payload is None:
+        payload = _share_payload(kind_values, fields, payloads)
+    return TraceEvent(ts, ints[cpu], ints[tid], sys.intern(comm), kind, payload)
 
 
 def read_trace(source) -> list[TraceEvent]:
@@ -251,6 +314,10 @@ def read_trace(source) -> list[TraceEvent]:
     against its predecessor's timestamp; MalformedRecord, UnknownEventKind
     and NonMonotonicTimestamp carry the offending 1-based line number.
     Entry/exit nesting is checked by the state-DB fold, not here.
+
+    Events that are equal in a field share one object: one int per
+    distinct tid, cpu or payload int, and one read-only payload per
+    distinct kind and payload values (see iter_trace).
     """
     with _gc_paused():
         return list(iter_trace(source))
@@ -449,6 +516,14 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
 def iter_trace(source) -> Iterator[TraceEvent]:
     """Streaming variant of read_trace (same record checks, constant memory).
 
+    Each event it yields shares what repeats with the events before it in
+    this call: one int object per distinct value of tid, cpu and each int
+    payload field, and one payload per distinct (kind, payload values).
+    That payload is read-only: every mutator raises TypeError, and it
+    pickles and deep-copies to a plain dict.  Each lookup table is cleared
+    when it passes a fixed size, so memory stays constant.  Events that a
+    caller builds keep the dicts the caller gave them.
+
     A file object passed in stays open; the caller closes it.  It is read
     forward only, so it may be a pipe."""
     opened = buffered = stream = None
@@ -472,21 +547,26 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         page_fault = EventKind.PAGE_FAULT
         kinds = _KIND_BY_VALUE
         intern = sys.intern
+        ints = _SharedInts()
+        # (kind, *payload values), or a counter line's kind-and-payload
+        # text -> the payload that every event with those values shares
+        payloads: dict[tuple | str, _ReadOnlyPayload] = {}
         for lineno, line in enumerate(stream, start=1):
             m = match(line)
             if m is not None:
-                ts, cpu, tid, comm, io_kind, nbytes = m.groups()
-                if io_kind is None:
-                    ev = TraceEvent(int(ts), int(cpu), int(tid), intern(comm),
-                                    page_fault, {})
-                else:
-                    ev = TraceEvent(int(ts), int(cpu), int(tid), intern(comm),
-                                    kinds[io_kind], {"bytes": int(nbytes)})
+                ts, cpu, tid, comm, counter, io_kind, nbytes = m.groups()
+                kind = page_fault if io_kind is None else kinds[io_kind]
+                payload = payloads.get(counter)
+                if payload is None:
+                    fields = {} if io_kind is None else {"bytes": ints[nbytes]}
+                    payload = payloads[counter] = _share_payload(
+                        (kind, *fields.values()), fields, payloads)
+                ev = TraceEvent(int(ts), ints[cpu], ints[tid], intern(comm), kind, payload)
             else:
                 head = line[0] if line else "\n"
                 if head == "\n" or (head in " \t\r" and not line.strip()):
                     continue
-                ev = parse(line, lineno)
+                ev = parse(line, lineno, ints, payloads)
             if ev.ts < prev_ts:
                 raise NonMonotonicTimestamp(lineno, ev.ts, prev_ts)
             prev_ts = ev.ts

@@ -333,7 +333,7 @@ class _Builder:
         self.comms: dict[int, str] = {}
         self.irq_stack: dict[int, list[tuple[str, int | None]]] = {}
         self.syscall_stack: dict[int, list[str]] = {}
-        self.dev_fifo: dict[str, deque[tuple[int, int]]] = {}
+        self.dev_fifo: defaultdict[str, deque[tuple[int, int]]] = defaultdict(deque)
         self.counters: dict[str, dict[int, CounterColumns]] = {
             c: {} for c in COUNTERS}
         self._columns_by_kind = {k: self.counters[c]
@@ -412,7 +412,7 @@ class _Builder:
             stack.pop()
             self.syscall[ev.tid].set(ev.ts, stack[-1] if stack else None)
         elif kind is EventKind.BLOCK_RQ_ISSUE:
-            self.dev_fifo.setdefault(ev.payload["dev"], deque()).append((ev.tid, ev.ts))
+            self.dev_fifo[ev.payload["dev"]].append((ev.tid, ev.ts))
         elif kind is EventKind.BLOCK_RQ_COMPLETE:
             self._on_rq_complete(ev)
         elif kind in MARKER_KINDS:

@@ -476,6 +476,20 @@ def test_compare_report_record_missing_field_exits_2(lock_dir, cluster_report,
     assert "spans[1]" in err
 
 
+@pytest.mark.parametrize("other_cluster", [False, True], ids=["same_cluster", "across"])
+def test_compare_report_listing_a_span_twice_exits_2(lock_dir, cluster_report, tmp_path,
+                                                     capsys, other_cluster):
+    report = json.loads(cluster_report.read_text())
+    copy = dict(report["spans"][0])
+    if other_cluster:
+        copy["cluster"] = 1 - copy["cluster"]
+    report["spans"].append(copy)
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps(report))
+    err = _exits_2(_compare_argv(lock_dir, bad, tmp_path / "x.dot"), capsys)
+    assert repr(copy["span_id"]) in err
+
+
 def test_directory_as_trace_exits_2(tmp_path, capsys):
     _exits_2(["graph", str(tmp_path), "--span", "s0000",
               "--out", str(tmp_path / "x.dot")], capsys)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import gzip
 import io
 import json
 import os
+import pickle
 import threading
+import tracemalloc
 import warnings
 from enum import IntEnum
 from unittest import mock
@@ -551,6 +555,104 @@ def test_synth_counter_lines_take_the_readers_counter_path(scenario):
     counters = (EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE)
     assert matched == [ev.kind in counters for ev in events]
     assert sum(matched) > len(lines) // 2
+
+
+# -- events read from a trace share what repeats --------------------------------
+
+# tids, cpu and sizes above 256, which CPython would not share by itself
+_SHARING_LINES = [
+    '{"ts":1,"cpu":300,"tid":1000,"comm":"w","kind":"io_read","bytes":4096}',
+    '{"ts":2,"cpu":300,"tid":1000,"comm":"w","kind":"page_fault"}',
+    _switch(3, 1000, 2000, cpu=300, tid=1000),
+    '{"ts":4,"cpu":300,"tid":1000,"comm":"w","kind":"io_read","bytes":4096}',
+    '{"ts":5,"cpu":300,"tid":1000,"comm":"w","kind":"page_fault"}',
+    _switch(6, 1000, 2000, cpu=300, tid=1000),
+    # JSON-path twins of the two counter lines
+    '{"ts":7, "cpu":300, "tid":1000, "comm":"w", "kind":"io_read", "bytes":4096}',
+    '{"ts":8, "cpu":300, "tid":1000, "comm":"w", "kind":"page_fault"}',
+]
+
+
+@pytest.mark.parametrize("counter_path", [True, False], ids=["counter_path", "json_path"])
+def test_events_read_share_one_int_and_one_payload_per_value(counter_path):
+    data = _as_bytes(*_SHARING_LINES)
+    evs = read_trace(data) if counter_path else _slow_outcome(data)
+    assert len(evs) == 8
+    for ev in evs[1:]:
+        assert ev.tid is evs[0].tid and ev.cpu is evs[0].cpu
+    assert evs[2].payload["prev_tid"] is evs[0].tid
+    for i in range(3):
+        assert evs[i].payload is evs[i + 3].payload
+    assert evs[6].payload is evs[0].payload and evs[7].payload is evs[1].payload
+    assert evs[0].payload == {"bytes": 4096} and evs[1].payload == {}
+
+
+def test_sharing_tables_are_cleared_without_changing_an_event():
+    n = 2 * events_mod._SHARED_MAX + 1
+    lines = [_line(ts=i, cpu=i, tid=i + 1, comm="w", kind="io_write", bytes=i) for i in range(n)]
+    lines += [_line(ts=n + i, cpu=0, tid=i + 1, comm="w", kind="syscall_entry",
+                    name=f"s{i}") for i in range(n)]
+    text = "\n".join(json.dumps(json.loads(line), separators=(",", ":")) for line in lines)
+    data = (text + "\n").encode()
+    assert read_trace(data) == _slow_outcome(data) == _events_by_json_loads(text)
+
+
+def _shared_payload():
+    return read_trace(_as_bytes(_SHARING_LINES[0]))[0].payload
+
+
+def _ior(payload):
+    payload |= {"bytes": 1}
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.__setitem__("bytes", 1),
+    lambda p: p.__delitem__("bytes"),
+    _ior,
+    lambda p: p.clear(),
+    lambda p: p.pop("bytes"),
+    lambda p: p.popitem(),
+    lambda p: p.setdefault("x", 1),
+    lambda p: p.update(x=1),
+], ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"])
+def test_every_mutator_of_a_read_payload_raises(mutate):
+    payload = _shared_payload()
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(payload)
+    assert payload == {"bytes": 4096}
+
+
+@pytest.mark.parametrize("copy_events, plain", [
+    (lambda evs: pickle.loads(pickle.dumps(evs)), True),
+    (copy.deepcopy, True),
+    # asdict rebuilds a dict through its type: an unshared read-only copy
+    (lambda evs: [TraceEvent(**dataclasses.asdict(ev)) for ev in evs], False),
+], ids=["pickle", "deepcopy", "asdict"])
+def test_read_events_copy_to_events_equal_to_plain_ones(copy_events, plain):
+    events = random_trace(3, 600, with_spans=True)
+    assert all(type(ev.payload) is dict for ev in events)  # caller-built: plain
+    text = _trace_text(events)
+    read = read_trace(text)
+    copied = copy_events(read)
+    assert copied == events == _events_by_json_loads(text.decode())
+    assert all((type(ev.payload) is dict) == plain for ev in copied)
+    assert not any(a.payload is b.payload for a, b in zip(read, copied))
+
+
+def test_read_trace_holds_a_counter_event_in_few_bytes():
+    # about 310 B per event when each event has its own ints and payload dict,
+    # about 120 B when they are shared: the event, its ts and a list slot
+    events, _ = generate(ScenarioSpec("lock", seed=3, n_spans=50, filler_events=600))
+    data = _trace_text(events)
+    del events
+    tracemalloc.start()
+    try:
+        read = read_trace(data)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(read) > 30_000
+    assert allocated / len(read) <= 140
 
 
 class _Boom(Exception):
