@@ -13,12 +13,13 @@ plus the kind-specific payload keys listed in ``PAYLOAD_FIELDS``.  Unknown
 extra keys are ignored on read.  All durations inside the package are
 integer nanoseconds; user-facing output is microseconds.
 
-A counter line (page_fault, io_read, io_write) exactly as write_trace
-writes it is decoded by one regular expression instead of the JSON
-scanner; every other line goes through the JSON path.  Both give the
-same record, so the choice changes no event and no error.  Events of one
-read share their equal ints and payloads, and a payload read is
-read-only (see iter_trace).
+A line of any kind exactly as write_trace writes it is decoded by
+regular expressions instead of the JSON scanner: one pattern for the
+head every line has, then the kind's payload pattern, generated from
+PAYLOAD_FIELDS, for the rest.  Every other line goes through the JSON
+path.  Both give the same record, so the choice changes no event and no
+error.  Events of one read share their equal ints and payloads, and a
+payload read is read-only (see iter_trace).
 
 write_trace writes each line as json.dumps would write event_to_record's
 dict, but fills a prebuilt template per kind: ints through str, and each
@@ -30,6 +31,7 @@ the errors are json.dumps's either way.
 
 from __future__ import annotations
 
+import functools
 import gc
 import gzip
 import io
@@ -91,18 +93,26 @@ def _nonempty_str(v: object) -> bool:
     return isinstance(v, str) and len(v) > 0
 
 
+def _prev_state(v: object) -> bool:
+    return v in PREV_STATES
+
+
+def _waker_context(v: object) -> bool:
+    return v in WAKER_CONTEXTS
+
+
 # kind -> ordered (key, validator) pairs; the order is also the canonical
 # serialization order used by write_trace.
 PAYLOAD_FIELDS: dict[EventKind, tuple[tuple[str, Callable[[object], bool]], ...]] = {
     EventKind.SCHED_SWITCH: (
         ("prev_tid", _pos_int),
-        ("prev_state", lambda v: v in PREV_STATES),
+        ("prev_state", _prev_state),
         ("next_tid", _pos_int),
     ),
     EventKind.SCHED_WAKEUP: (
         ("waker_tid", _pos_int),
         ("wakee_tid", _pos_int),
-        ("waker_context", lambda v: v in WAKER_CONTEXTS),
+        ("waker_context", _waker_context),
     ),
     EventKind.SYSCALL_ENTRY: (("name", _nonempty_str),),
     EventKind.SYSCALL_EXIT: (("name", _nonempty_str),),
@@ -126,18 +136,58 @@ _KIND_BY_VALUE = {k.value: k for k in EventKind}
 # the C scanner json.loads itself runs, called without its wrapper
 _scan_once = json.JSONDecoder().scan_once
 
-# A counter line as write_trace writes it, newline included.  Numbers are
-# JSON integers of at most 18 digits (no sign, no leading zero), comm is a
-# non-empty JSON string with no escape, and tid >= 1: the line decodes to
-# what json.loads and _parse_line's checks would give, so nothing needs
-# re-checking.  A line outside this language takes the JSON path.  The
-# fifth group, the text from the kind's name to the end of the payload,
-# keys the line's payload in iter_trace.
-_match_counter_line = re.compile(
-    r'\{"ts":(0|[1-9][0-9]{0,17}),"cpu":(0|[1-9][0-9]{0,17}),'
-    r'"tid":([1-9][0-9]{0,17}),"comm":"([^"\\\x00-\x1f]+)",'
-    r'"kind":"(page_fault"|(io_read|io_write)","bytes":(0|[1-9][0-9]{0,17}))\}\n'
+# The canonical line language: the JSON text write_trace gives each value.
+# A number is a JSON integer of at most 18 digits (no sign, no leading
+# zero), a string is a non-empty JSON string with no escape, and a choice
+# is one of its values, none of which JSON escapes.  Text in this language
+# decodes to what json.loads and _parse_line's checks would give, so
+# nothing needs re-checking.
+_POS_INT = r"([1-9][0-9]{0,17})"
+_NONNEG_INT = r"(0|[1-9][0-9]{0,17})"
+_NONEMPTY_STR = r'"([^"\\\x00-\x1f]+)"'
+
+
+def _choice(values: tuple[str, ...]) -> str:
+    return '"(' + "|".join(map(re.escape, values)) + ')"'
+
+
+# validator -> (pattern of a value it accepts, whether the value is an int)
+_VALUE_PATTERNS = {
+    _pos_int: (_POS_INT, True),
+    _nonneg_int: (_NONNEG_INT, True),
+    _nonempty_str: (_NONEMPTY_STR, False),
+    _prev_state: (_choice(PREV_STATES), False),
+    _waker_context: (_choice(WAKER_CONTEXTS), False),
+}
+
+# A line as write_trace writes it, newline included: ts, cpu, tid >= 1
+# and comm, then the tail, the text between '"kind":"' and the closing '}'
+# (the kind's name, its closing quote and the payload).
+# iter_trace keys each distinct tail to its kind and payload; a line
+# outside this language, or whose tail _read_tail refuses, takes the JSON
+# path.
+_match_line = re.compile(
+    r'\{"ts":' + _NONNEG_INT + r',"cpu":' + _NONNEG_INT + r',"tid":' + _POS_INT
+    + r',"comm":' + _NONEMPTY_STR + r',"kind":"(.*)\}\n'
 ).fullmatch
+
+
+@functools.cache
+def _payload_pattern(kind: EventKind) -> tuple[Callable, tuple[str, ...],
+                                              tuple[bool, ...]] | None:
+    """The fullmatch of a kind's payload as write_trace writes it, the text
+    after the kind's closing quote, with the payload keys and whether each
+    value is an int; None when a validator of the kind has no pattern.
+    Compiled on first use, so an import that reads no trace compiles none."""
+    text, keys, is_int = "", [], []
+    for key, check in PAYLOAD_FIELDS[kind]:
+        if check not in _VALUE_PATTERNS:
+            return None
+        pattern, int_value = _VALUE_PATTERNS[check]
+        text += "," + re.escape(_json_str(key)) + ":" + pattern
+        keys.append(key)
+        is_int.append(int_value)
+    return re.compile(text).fullmatch, tuple(keys), tuple(is_int)
 
 
 class _ReadOnlyPayload(dict):
@@ -164,7 +214,7 @@ _SHARED_MAX = 4096
 
 
 class _SharedInts(dict):
-    """An int, or its decimal text on the counter path -> the one int object
+    """An int, or its decimal text on the fast path -> the one int object
     of that value.  A str never equals an int, so both keys share a table."""
 
     __slots__ = ()
@@ -186,6 +236,31 @@ def _share_payload(kind_values: tuple, fields: dict, payloads: dict) -> _ReadOnl
             payloads.clear()
         payload = payloads[kind_values] = _ReadOnlyPayload(fields)
     return payload
+
+
+def _read_tail(tail: str, ints: _SharedInts, payloads: dict,
+               tails: dict) -> tuple[EventKind, _ReadOnlyPayload] | None:
+    """The kind and shared payload of a canonical line's tail (see
+    _match_line), kept in tails under the tail; None when the tail is
+    outside the canonical language or is a sched_switch to its own thread,
+    which the JSON path refuses."""
+    name, quote, text = tail.partition('"')
+    kind = _KIND_BY_VALUE.get(name) if quote else None
+    pattern = _payload_pattern(kind) if kind is not None else None
+    if pattern is None:
+        return None
+    fullmatch, keys, is_int = pattern
+    m = fullmatch(text)
+    if m is None:
+        return None
+    values = [ints[v] if i else sys.intern(v) for v, i in zip(m.groups(), is_int)]
+    fields = dict(zip(keys, values))
+    if kind is EventKind.SCHED_SWITCH and fields["prev_tid"] == fields["next_tid"]:
+        return None
+    if len(tails) >= _SHARED_MAX:
+        tails.clear()
+    read = tails[tail] = kind, _share_payload((kind, *values), fields, payloads)
+    return read
 
 
 @dataclass(slots=True)
@@ -516,6 +591,14 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
 def iter_trace(source) -> Iterator[TraceEvent]:
     """Streaming variant of read_trace (same record checks, constant memory).
 
+    A line exactly as write_trace writes it takes a fast path: the head
+    pattern (_match_line) reads ts, cpu, tid and comm and hands over the
+    tail, the kind's name and payload text.  A tail seen before in this
+    call maps to its kind and payload through one table lookup; a new one
+    must fullmatch its kind's payload pattern.  Any other line, and a
+    sched_switch from a thread to itself, is read by _parse_line, so every
+    error and its line number is the JSON path's.
+
     Each event it yields shares what repeats with the events before it in
     this call: one int object per distinct value of tid, cpu and each int
     payload field, and one payload per distinct (kind, payload values).
@@ -543,24 +626,22 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         stream = io.TextIOWrapper(raw, encoding="utf-8")
         prev_ts = -1
         parse = _parse_line
-        match = _match_counter_line
-        page_fault = EventKind.PAGE_FAULT
-        kinds = _KIND_BY_VALUE
+        match = _match_line
+        read_tail = _read_tail
         intern = sys.intern
         ints = _SharedInts()
-        # (kind, *payload values), or a counter line's kind-and-payload
-        # text -> the payload that every event with those values shares
-        payloads: dict[tuple | str, _ReadOnlyPayload] = {}
+        # (kind, *payload values) -> the payload every event with those
+        # values shares; a canonical line's tail -> its kind and payload
+        payloads: dict[tuple, _ReadOnlyPayload] = {}
+        tails: dict[str, tuple[EventKind, _ReadOnlyPayload]] = {}
         for lineno, line in enumerate(stream, start=1):
             m = match(line)
+            read = None
             if m is not None:
-                ts, cpu, tid, comm, counter, io_kind, nbytes = m.groups()
-                kind = page_fault if io_kind is None else kinds[io_kind]
-                payload = payloads.get(counter)
-                if payload is None:
-                    fields = {} if io_kind is None else {"bytes": ints[nbytes]}
-                    payload = payloads[counter] = _share_payload(
-                        (kind, *fields.values()), fields, payloads)
+                ts, cpu, tid, comm, tail = m.groups()
+                read = tails.get(tail) or read_tail(tail, ints, payloads, tails)
+            if read is not None:
+                kind, payload = read
                 ev = TraceEvent(int(ts), ints[cpu], ints[tid], intern(comm), kind, payload)
             else:
                 head = line[0] if line else "\n"

@@ -46,7 +46,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, pairwise, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import NestingViolation, SwitchConflict
 from .events import MARKER_KINDS, EventKind, TraceEvent, _gc_paused
@@ -321,7 +321,12 @@ class _Series:
 class _Builder:
     """The fold's state: one _Series per interval key, in five families
     keyed by tid, CPU or device; ``finish`` names each key once.  A thread
-    has a state from its first transition on (``tid in self.state``)."""
+    has a state from its first transition on (``tid in self.state``).
+
+    ``handle`` folds a counter event inline and sends every other kind
+    through ``handlers``, one handler per kind; the handler of an actor
+    kind (syscall, block issue, span marker) first marks its thread
+    running."""
 
     def __init__(self):
         self.state: defaultdict[int, _Series] = defaultdict(_Series)
@@ -339,9 +344,22 @@ class _Builder:
         self._columns_by_kind = {k: self.counters[c]
                                  for k, c in _COUNTER_BY_KIND.items()}
         self.markers: list[TraceEvent] = []
-        self.t_min: int | None = None
-        self.t_max: int = 0
-        self.count = 0
+        self.handlers: dict[EventKind, Callable[[TraceEvent], None]] = {
+            EventKind.SCHED_SWITCH: self._on_switch,
+            EventKind.SCHED_WAKEUP: self._on_wakeup,
+            EventKind.IRQ_ENTRY: self._on_irq_entry,
+            EventKind.SOFTIRQ_ENTRY: self._on_irq_entry,
+            EventKind.HRTIMER_EXPIRE_ENTRY: self._on_irq_entry,
+            EventKind.IRQ_EXIT: self._on_irq_exit,
+            EventKind.SOFTIRQ_EXIT: self._on_irq_exit,
+            EventKind.HRTIMER_EXPIRE_EXIT: self._on_irq_exit,
+            EventKind.SYSCALL_ENTRY: self._on_syscall_entry,
+            EventKind.SYSCALL_EXIT: self._on_syscall_exit,
+            EventKind.BLOCK_RQ_ISSUE: self._on_rq_issue,
+            EventKind.BLOCK_RQ_COMPLETE: self._on_rq_complete,
+            EventKind.SPAN_BEGIN: self._on_marker,
+            EventKind.SPAN_END: self._on_marker,
+        }
 
     def mark_running(self, tid: int, cpu: int, t: int) -> None:
         """A thread first observed through its own actor event (syscall,
@@ -354,15 +372,7 @@ class _Builder:
         if current.value is None:
             current.set(t, tid)
 
-    _ACTOR_KINDS = frozenset((
-        EventKind.SYSCALL_ENTRY, EventKind.SYSCALL_EXIT,
-        EventKind.BLOCK_RQ_ISSUE, *MARKER_KINDS))
-
     def handle(self, ev: TraceEvent) -> None:
-        self.count += 1
-        if self.t_min is None:
-            self.t_min = ev.ts
-        self.t_max = ev.ts
         if ev.tid not in self.comms:
             self.comms[ev.tid] = ev.comm
         kind = ev.kind
@@ -385,38 +395,7 @@ class _Builder:
                 col[0].append(ts)
                 col[1].append(col[1][-1] + delta)
             return
-        if kind in self._ACTOR_KINDS:
-            self.mark_running(ev.tid, ev.cpu, ev.ts)
-        if kind is EventKind.SCHED_SWITCH:
-            self._on_switch(ev)
-        elif kind is EventKind.SCHED_WAKEUP:
-            if ev.payload["waker_context"] == "task":
-                self.mark_running(ev.payload["waker_tid"], ev.cpu, ev.ts)
-            self._on_wakeup(ev)
-        elif kind in (EventKind.IRQ_ENTRY, EventKind.SOFTIRQ_ENTRY,
-                      EventKind.HRTIMER_EXPIRE_ENTRY):
-            self._on_irq_entry(ev)
-        elif kind in (EventKind.IRQ_EXIT, EventKind.SOFTIRQ_EXIT,
-                      EventKind.HRTIMER_EXPIRE_EXIT):
-            self._on_irq_exit(ev)
-        elif kind is EventKind.SYSCALL_ENTRY:
-            stack = self.syscall_stack.setdefault(ev.tid, [])
-            stack.append(ev.payload["name"])
-            self.syscall[ev.tid].set(ev.ts, ev.payload["name"])
-        elif kind is EventKind.SYSCALL_EXIT:
-            stack = self.syscall_stack.get(ev.tid)
-            if not stack or stack[-1] != ev.payload["name"]:
-                raise NestingViolation(
-                    f"ts={ev.ts}: syscall_exit({ev.payload['name']}) on tid {ev.tid} "
-                    "does not match an open entry")
-            stack.pop()
-            self.syscall[ev.tid].set(ev.ts, stack[-1] if stack else None)
-        elif kind is EventKind.BLOCK_RQ_ISSUE:
-            self.dev_fifo[ev.payload["dev"]].append((ev.tid, ev.ts))
-        elif kind is EventKind.BLOCK_RQ_COMPLETE:
-            self._on_rq_complete(ev)
-        elif kind in MARKER_KINDS:
-            self.markers.append(ev)  # no state of their own
+        self.handlers[kind](ev)
 
     def _on_switch(self, ev: TraceEvent) -> None:
         t, cpu = ev.ts, ev.cpu
@@ -461,6 +440,8 @@ class _Builder:
         return ThreadState(StateKind.BLOCKED, BlockReason.UNKNOWN, None)
 
     def _on_wakeup(self, ev: TraceEvent) -> None:
+        if ev.payload["waker_context"] == "task":
+            self.mark_running(ev.payload["waker_tid"], ev.cpu, ev.ts)
         series = self.state[ev.payload["wakee_tid"]]
         cur = series.value
         if cur is not None and cur.kind is StateKind.BLOCKED:
@@ -494,6 +475,25 @@ class _Builder:
         if occupant is not None and self.state[occupant].value.kind is kind:
             self.state[occupant].set(ev.ts, to)
 
+    def _on_syscall_entry(self, ev: TraceEvent) -> None:
+        self.mark_running(ev.tid, ev.cpu, ev.ts)
+        self.syscall_stack.setdefault(ev.tid, []).append(ev.payload["name"])
+        self.syscall[ev.tid].set(ev.ts, ev.payload["name"])
+
+    def _on_syscall_exit(self, ev: TraceEvent) -> None:
+        self.mark_running(ev.tid, ev.cpu, ev.ts)
+        stack = self.syscall_stack.get(ev.tid)
+        if not stack or stack[-1] != ev.payload["name"]:
+            raise NestingViolation(
+                f"ts={ev.ts}: syscall_exit({ev.payload['name']}) on tid {ev.tid} "
+                "does not match an open entry")
+        stack.pop()
+        self.syscall[ev.tid].set(ev.ts, stack[-1] if stack else None)
+
+    def _on_rq_issue(self, ev: TraceEvent) -> None:
+        self.mark_running(ev.tid, ev.cpu, ev.ts)
+        self.dev_fifo[ev.payload["dev"]].append((ev.tid, ev.ts))
+
     def _on_rq_complete(self, ev: TraceEvent) -> None:
         dev = ev.payload["dev"]
         fifo = self.dev_fifo.get(dev)
@@ -505,8 +505,13 @@ class _Builder:
         series.set(max(issued, series.t), tid)
         series.set(ev.ts, None)
 
-    def finish(self) -> StateDatabase:
-        end = self.t_max
+    def _on_marker(self, ev: TraceEvent) -> None:
+        self.mark_running(ev.tid, ev.cpu, ev.ts)
+        self.markers.append(ev)  # no state of their own
+
+    def finish(self, count: int, t_min: int, end: int) -> StateDatabase:
+        """The database of count events, the first at t_min and the last at
+        end; every open interval closes at end."""
         intervals: dict[str, IntervalColumns] = {}
         families = ((self.state, thread_state_key), (self.syscall, thread_syscall_key),
                     (self.cpu, thread_cpu_key), (self.current_tid, cpu_current_key),
@@ -524,9 +529,8 @@ class _Builder:
                     totals.pop()
                     if not stamps:
                         del columns[tid]
-        return StateDatabase(intervals, self.counters, self.comms,
-                             self.t_min if self.t_min is not None else 0,
-                             end, self.count, self.markers)
+        return StateDatabase(intervals, self.counters, self.comms, t_min, end, count,
+                             self.markers)
 
 
 def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
@@ -555,10 +559,16 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
     """
     builder = _Builder()
     handle = builder.handle
+    events = iter(events)
     with _gc_paused():
-        for ev in events:
-            handle(ev)
-    return builder.finish()
+        first = last = next(events, None)
+        if first is None:
+            return builder.finish(0, 0, 0)
+        handle(first)
+        count = 1
+        for count, last in enumerate(events, 2):
+            handle(last)
+    return builder.finish(count, first.ts, last.ts)
 
 
 # -- the CLI's state sidecar body ------------------------------------------

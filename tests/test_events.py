@@ -303,7 +303,7 @@ def test_line_that_json_loads_rejects_fails_at_its_line(text, message):
     assert str(exc.value) == message
 
 
-# -- canonical counter lines take a regex path with the JSON path's results ----
+# -- canonical lines take a regex path with the JSON path's results -----------
 
 def _outcome(data: bytes):
     """read_trace's events, or the class and text of the error it raised."""
@@ -314,7 +314,7 @@ def _outcome(data: bytes):
 
 
 def _slow_outcome(data: bytes):
-    with mock.patch.object(events_mod, "_match_counter_line", lambda line: None):
+    with mock.patch.object(events_mod, "_match_line", lambda line: None):
         return _outcome(data)
 
 
@@ -355,74 +355,143 @@ def test_random_trace_reads_the_same_without_the_counter_path(seed):
 
 
 _COUNTER = '{"ts":5,"cpu":1,"tid":7,"comm":"w","kind":"io_read","bytes":8}\n'
+_HEAD = '{"ts":5,"cpu":1,"tid":7,"comm":"w","kind":'
 
+# one line of every kind exactly as write_trace writes it
+_CANONICAL_LINES = {
+    EventKind.SCHED_SWITCH:
+        _HEAD + '"sched_switch","prev_tid":7,"prev_state":"blocked","next_tid":9}\n',
+    EventKind.SCHED_WAKEUP:
+        _HEAD + '"sched_wakeup","waker_tid":7,"wakee_tid":9,"waker_context":"task"}\n',
+    EventKind.SYSCALL_ENTRY: _HEAD + '"syscall_entry","name":"futex"}\n',
+    EventKind.SYSCALL_EXIT: _HEAD + '"syscall_exit","name":"futex"}\n',
+    EventKind.IRQ_ENTRY: _HEAD + '"irq_entry","irq":0}\n',
+    EventKind.IRQ_EXIT: _HEAD + '"irq_exit","irq":' + "9" * 18 + '}\n',
+    EventKind.SOFTIRQ_ENTRY: _HEAD + '"softirq_entry","vec":4}\n',
+    EventKind.SOFTIRQ_EXIT: _HEAD + '"softirq_exit","vec":4}\n',
+    EventKind.HRTIMER_EXPIRE_ENTRY: _HEAD + '"hrtimer_expire_entry"}\n',
+    EventKind.HRTIMER_EXPIRE_EXIT: _HEAD + '"hrtimer_expire_exit"}\n',
+    EventKind.BLOCK_RQ_ISSUE: _HEAD + '"block_rq_issue","dev":"sda/1 é"}\n',
+    EventKind.BLOCK_RQ_COMPLETE: _HEAD + '"block_rq_complete","dev":"sda"}\n',
+    EventKind.PAGE_FAULT: _HEAD + '"page_fault"}\n',
+    EventKind.IO_READ: _COUNTER,
+    EventKind.IO_WRITE: _COUNTER.replace("io_read", "io_write"),
+    EventKind.SPAN_BEGIN: _HEAD + '"span_begin","span_id":"s0001"}\n',
+    EventKind.SPAN_END: _HEAD + '"span_end","span_id":"s0001"}\n',
+}
+_SWITCH = _CANONICAL_LINES[EventKind.SCHED_SWITCH]
+_WAKEUP = _CANONICAL_LINES[EventKind.SCHED_WAKEUP]
 
-@pytest.mark.parametrize("line, fast", [
-    (_COUNTER, True),
-    ('{"ts":5,"cpu":1,"tid":7,"comm":"w","kind":"page_fault"}\n', True),
-    (_COUNTER.replace("io_read", "io_write"), True),
-    (_COUNTER.replace('"ts":5', '"ts":0').replace('"bytes":8', '"bytes":0'), True),
-    (_COUNTER.replace('"ts":5', '"ts":05'), False),
-    (_COUNTER.replace('"ts":5', '"ts":' + "9" * 18), True),
-    (_COUNTER.replace('"ts":5', '"ts":' + "9" * 19), False),
-    (_COUNTER.replace('"bytes":8', '"bytes":' + "1" * 19), False),
-    (_COUNTER.replace('"ts":5', '"ts":-0'), False),
-    (_COUNTER.replace('"ts":5', '"ts":5.0'), False),
-    (_COUNTER.replace('"tid":7', '"tid":0'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":"w\\u0041"'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":"w\\\\"'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":"w\\"x"'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":"w\tx"'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":""'), False),
-    (_COUNTER.replace('"comm":"w"', '"comm":"kworker/ü:線"'), True),
-    (_COUNTER.replace('"comm":"w"', '"comm":"w\x7f"'), True),
-    (_COUNTER.replace("io_read", "page_fault"), False),
-    (_COUNTER.replace(',"bytes":8', ""), False),
-    (_COUNTER.replace("}", ',"vendor":1}'), False),
-    (_COUNTER.replace('"ts":5,"cpu":1', '"cpu":1,"ts":5'), False),
-    (_COUNTER.replace(",", ", "), False),
-    (_COUNTER.replace("}", "} "), False),
-    (_COUNTER[:-1], False),
+_LINE_PATHS = {
+    **{kind.value: (line, True) for kind, line in _CANONICAL_LINES.items()},
+    "zeros": (_COUNTER.replace('"ts":5', '"ts":0').replace('"bytes":8', '"bytes":0'), True),
+    "leading_zero": (_COUNTER.replace('"ts":5', '"ts":05'), False),
+    "18_digits": (_COUNTER.replace('"ts":5', '"ts":' + "9" * 18), True),
+    "19_digits": (_COUNTER.replace('"ts":5', '"ts":' + "9" * 19), False),
+    "19_digit_bytes": (_COUNTER.replace('"bytes":8', '"bytes":' + "1" * 19), False),
+    "minus_zero": (_COUNTER.replace('"ts":5', '"ts":-0'), False),
+    "float": (_COUNTER.replace('"ts":5', '"ts":5.0'), False),
+    "tid_0": (_COUNTER.replace('"tid":7', '"tid":0'), False),
+    "escape_u": (_COUNTER.replace('"comm":"w"', '"comm":"w\\u0041"'), False),
+    "escaped_backslash": (_COUNTER.replace('"comm":"w"', '"comm":"w\\\\"'), False),
+    "escaped_quote": (_COUNTER.replace('"comm":"w"', '"comm":"w\\"x"'), False),
+    "control_char": (_COUNTER.replace('"comm":"w"', '"comm":"w\tx"'), False),
+    "empty_comm": (_COUNTER.replace('"comm":"w"', '"comm":""'), False),
+    "non_ascii_comm": (_COUNTER.replace('"comm":"w"', '"comm":"kworker/ü:線"'), True),
+    "del_char": (_COUNTER.replace('"comm":"w"', '"comm":"w\x7f"'), True),
+    "page_fault_with_bytes": (_COUNTER.replace("io_read", "page_fault"), False),
+    "io_read_without_bytes": (_COUNTER.replace(',"bytes":8', ""), False),
+    "extra_key": (_COUNTER.replace("}", ',"vendor":1}'), False),
+    "swapped_keys": (_COUNTER.replace('"ts":5,"cpu":1', '"cpu":1,"ts":5'), False),
+    "spaces": (_COUNTER.replace(",", ", "), False),
+    "trailing_blank": (_COUNTER.replace("}", "} "), False),
+    "no_final_newline": (_COUNTER[:-1], False),
     # the text layer hands the line over with its ending translated to "\n"
-    (_COUNTER.replace("\n", "\r\n"), True),
-], ids=["io_read", "page_fault", "io_write", "zeros", "leading_zero", "18_digits",
-        "19_digits", "19_digit_bytes", "minus_zero", "float", "tid_0",
-        "escape_u", "escaped_backslash", "escaped_quote", "control_char",
-        "empty_comm", "non_ascii_comm", "del_char", "page_fault_with_bytes",
-        "io_read_without_bytes", "extra_key", "swapped_keys", "spaces",
-        "trailing_blank", "no_final_newline", "crlf"])
-def test_which_lines_take_the_counter_path(line, fast):
-    taken = []
+    "crlf": (_COUNTER.replace("\n", "\r\n"), True),
+    # every other kind: what the payload patterns refuse reads as JSON
+    "switch_swapped_keys": (_SWITCH.replace('"prev_tid":7,"prev_state":"blocked"',
+                                            '"prev_state":"blocked","prev_tid":7'), False),
+    "wakeup_extra_key": (_WAKEUP.replace("}", ',"vendor":1}'), False),
+    "hrtimer_extra_key": (_HEAD + '"hrtimer_expire_entry","irq":1}\n', False),
+    "escaped_name": (_HEAD + '"syscall_entry","name":"fute\\u0078"}\n', False),
+    "escaped_dev": (_HEAD + '"block_rq_issue","dev":"sd\\"a"}\n', False),
+    "escaped_span_id": (_HEAD + '"span_begin","span_id":"s\\/1"}\n', False),
+    "empty_span_id": (_HEAD + '"span_end","span_id":""}\n', False),
+    "escaped_prev_state": (_SWITCH.replace('"blocked"', '"blocke\\u0064"'), False),
+    "prev_state_running": (_SWITCH.replace('"blocked"', '"running"'), False),
+    "waker_context_user": (_WAKEUP.replace('"task"', '"user"'), False),
+    "waker_tid_0": (_WAKEUP.replace('"waker_tid":7', '"waker_tid":0'), False),
+    "19_digit_irq": (_HEAD + '"irq_entry","irq":' + "1" * 19 + "}\n", False),
+    "leading_zero_vec": (_HEAD + '"softirq_exit","vec":04}\n', False),
+    "switch_to_self": (_SWITCH.replace('"next_tid":9', '"next_tid":7'), False),
+    "unknown_kind": (_HEAD + '"sched_yield"}\n', False),
+    "escaped_kind": (_HEAD + '"page\\u005ffault"}\n', False),
+    "unterminated_kind": (_HEAD + '"page_fault}\n', False),
+    "double_brace_tail": (_COUNTER.replace("}", "}}"), False),
+    "double_brace_switch": (_SWITCH.replace("}", "}}"), False),
+}
 
-    def spy(text):
-        m = match(text)
-        taken.append(m is not None)
-        return m
-    match = events_mod._match_counter_line
+
+@pytest.mark.parametrize("line, fast", _LINE_PATHS.values(), ids=_LINE_PATHS)
+def test_which_lines_take_the_counter_path(line, fast):
+    # a line takes the fast path when the JSON path never sees it
     data = line.encode()
-    with mock.patch.object(events_mod, "_match_counter_line", spy):
+    with mock.patch.object(events_mod, "_parse_line", wraps=events_mod._parse_line) as parse:
         got = _outcome(data)
-    assert taken == [fast]
+    assert parse.call_count == (0 if fast else 1)
     assert got == _slow_outcome(data)
 
 
-# mostly values the counter path takes; 0 (no valid tid) and the 18/19-digit edge
+def test_every_kind_has_a_canonical_line_case():
+    assert set(_CANONICAL_LINES) == set(EventKind)
+    for kind, line in _CANONICAL_LINES.items():
+        assert _trace_text(read_trace(line.encode())) == line.encode()
+
+
+def test_a_kind_whose_validator_has_no_pattern_reads_as_json():
+    data = (_CANONICAL_LINES[EventKind.SYSCALL_ENTRY]
+            + _CANONICAL_LINES[EventKind.IO_READ]).encode()
+    patterns = {check: value for check, value in events_mod._VALUE_PATTERNS.items()
+                if check is not events_mod._nonempty_str}
+    events_mod._payload_pattern.cache_clear()
+    try:
+        with mock.patch.object(events_mod, "_VALUE_PATTERNS", patterns), \
+                mock.patch.object(events_mod, "_parse_line",
+                                  wraps=events_mod._parse_line) as parse:
+            got = _outcome(data)
+    finally:
+        events_mod._payload_pattern.cache_clear()
+    assert parse.call_count == 1
+    assert got == _slow_outcome(data)
+    assert got[0].payload == {"name": "futex"}
+
+
+# mostly values the fast path takes; 0 (no valid tid) and the 18/19-digit edge
 _digits = st.one_of(st.integers(1, 10 ** 6),
                     st.sampled_from([0, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 10 ** 19]))
-# names, and text rich in what JSON escapes or the counter path refuses
+# names, and text rich in what JSON escapes or the fast path refuses
 _comms = st.one_of(st.sampled_from(["apache2", "kworker/0:1", "w"]),
                    st.text('aZ0/: é線"\\\x00\t\x1f\x7f', max_size=5),
                    st.text(max_size=6))
 
 
+_COUNTER_KINDS = [EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE]
+# a payload value by its validator: mostly one the payload patterns take
+_VALUES = {events_mod._pos_int: _digits, events_mod._nonneg_int: _digits,
+           events_mod._nonempty_str: _comms,
+           events_mod._prev_state: st.sampled_from(["runnable", "blocked", "running"]),
+           events_mod._waker_context: st.sampled_from(["task", "irq", "softirq",
+                                                       "hrtimer", "user"])}
+
+
 @st.composite
-def _counter_records(draw) -> dict:
-    """A counter record with its keys in write_trace's order."""
+def _records(draw, kinds) -> dict:
+    """A record of one of kinds with its keys in write_trace's order."""
+    kind = draw(st.sampled_from(kinds))
     rec = {"ts": draw(_digits), "cpu": draw(_digits), "tid": draw(_digits),
-           "comm": draw(_comms),
-           "kind": draw(st.sampled_from(["page_fault", "io_read", "io_write"]))}
-    if rec["kind"] != "page_fault":
-        rec["bytes"] = draw(_digits)
+           "comm": draw(_comms), "kind": kind.value}
+    for key, check in PAYLOAD_FIELDS[kind]:
+        rec[key] = draw(_VALUES[check])
     return rec
 
 
@@ -431,16 +500,8 @@ def _canonical_lines(records) -> bytes:
                    for rec in records).encode()
 
 
-@given(records=st.lists(_counter_records(), min_size=1, max_size=4))
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_canonical_counter_lines_read_the_same_on_both_paths(records):
-    _assert_both_paths_agree(_canonical_lines(records))
-
-
-@given(records=st.lists(_counter_records(), min_size=1, max_size=3), data=st.data())
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_mutated_counter_lines_fail_alike_on_both_paths(records, data):
-    text = bytearray(_canonical_lines(records))
+def _mutated(text: bytes, data) -> bytes:
+    text = bytearray(text)
     mutation = data.draw(st.sampled_from(["flip", "insert", "sign_or_zero", "crlf",
                                           "no_newline"]))
     if mutation == "crlf":
@@ -458,7 +519,33 @@ def test_mutated_counter_lines_fail_alike_on_both_paths(records, data):
             text[pos] = byte
         else:
             text.insert(pos, byte)
-    _assert_both_paths_agree(bytes(text))
+    return bytes(text)
+
+
+@given(records=st.lists(_records(_COUNTER_KINDS), min_size=1, max_size=4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_canonical_counter_lines_read_the_same_on_both_paths(records):
+    _assert_both_paths_agree(_canonical_lines(records))
+
+
+@given(records=st.lists(_records(_COUNTER_KINDS), min_size=1, max_size=3),
+       data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_mutated_counter_lines_fail_alike_on_both_paths(records, data):
+    _assert_both_paths_agree(_mutated(_canonical_lines(records), data))
+
+
+@given(records=st.lists(_records(list(EventKind)), min_size=1, max_size=4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_canonical_lines_of_every_kind_read_the_same_on_both_paths(records):
+    _assert_both_paths_agree(_canonical_lines(records))
+
+
+@given(records=st.lists(_records(list(EventKind)), min_size=1, max_size=3),
+       data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_mutated_lines_of_every_kind_fail_alike_on_both_paths(records, data):
+    _assert_both_paths_agree(_mutated(_canonical_lines(records), data))
 
 
 # -- write_trace writes what json.dumps writes -------------------------------
@@ -549,12 +636,13 @@ def test_odd_values_are_written_or_refused_as_json_dumps_does(field, value):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_synth_counter_lines_take_the_readers_counter_path(scenario):
+    # every line a synth trace writes, of every kind, skips the JSON path
     events, _ = generate(ScenarioSpec(scenario, seed=4, n_spans=12))
-    lines = _trace_text(events).decode().splitlines(keepends=True)
-    matched = [events_mod._match_counter_line(line) is not None for line in lines]
-    counters = (EventKind.PAGE_FAULT, EventKind.IO_READ, EventKind.IO_WRITE)
-    assert matched == [ev.kind in counters for ev in events]
-    assert sum(matched) > len(lines) // 2
+    with mock.patch.object(events_mod, "_parse_line") as parse:
+        assert read_trace(_trace_text(events)) == events
+    assert not parse.called
+    assert {ev.kind for ev in events} > {EventKind.PAGE_FAULT, EventKind.SCHED_SWITCH,
+                                         EventKind.SPAN_BEGIN}
 
 
 # -- events read from a trace share what repeats --------------------------------

@@ -8,8 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waitgraph.events import EventKind, TraceEvent, extract_spans, json_text
+from waitgraph.analysis import extract_features
+from waitgraph.events import (
+    EventKind,
+    ExecutionSpan,
+    TraceEvent,
+    extract_spans,
+    json_text,
+)
 from waitgraph.graph import (
+    CPU_NODE,
+    DISK_NODE,
     DepGraph,
     add_edge,
     build_depgraph,
@@ -329,9 +338,10 @@ _NO_EDGE_STATES = {(StateKind.RUNNING, None), (StateKind.INTERRUPTED, None),
 
 
 def _assert_time_identities(db, g: DepGraph, root: int, ts_s: int, ts_e: int) -> None:
-    """A syscall node hands on exactly the time waited through it, and the
+    """A syscall node hands on exactly the time waited through it, the
     root's edge-free time plus its out-edge weight is the part of the window
-    its state covers."""
+    its state covers, and the root's waits on CPU, DISK and threads, direct
+    or through its syscall nodes, are the span features' waits."""
     out_w, in_w = {}, {}
     for (src, dst), edge in g.edges.items():
         out_w[src] = out_w.get(src, 0) + edge.weight_ns
@@ -345,6 +355,15 @@ def _assert_time_identities(db, g: DepGraph, root: int, ts_s: int, ts_e: int) ->
         if (st.kind, st.reason) in _NO_EDGE_STATES:
             edge_free += end - start
     assert edge_free + out_w.get(g.root_id, 0) == covered
+    waited = {"cpu": 0, "disk": 0, "threads": 0}
+    for (src, dst), edge in g.edges.items():
+        if (src == g.root_id or src[:2] == ("syscall", root)) and dst[0] != "syscall":
+            target = {CPU_NODE: "cpu", DISK_NODE: "disk"}.get(dst, "threads")
+            waited[target] += edge.weight_ns
+    fv = extract_features(db, ExecutionSpan("window", root, ts_s, ts_e))
+    assert waited == {"cpu": round(fv.cpu_wait_us * 1000),
+                      "disk": round(fv.blocked_disk_us * 1000),
+                      "threads": round((fv.blocked_task_us + fv.blocked_futex_us) * 1000)}
 
 
 def test_graph_time_identities(lock_fixture, cpu_fixture, disk_fixture, mixed_fixture):

@@ -10,11 +10,13 @@ from waitgraph.errors import NestingViolation, SwitchConflict
 from waitgraph.events import EventKind, TraceEvent
 from waitgraph.graph import CPU_NODE, DISK_NODE, build_depgraph
 from waitgraph.states import (
+    _COUNTER_BY_KIND,
     COUNTERS,
     BlockReason,
     StateKind,
     StateValue,
     ThreadState,
+    _Builder,
     _decode_state,
     _encode_state,
     build_state_db,
@@ -247,6 +249,23 @@ def test_interrupt_exit_must_match_the_innermost_entry_on_its_cpu(kind, payload)
     events = [ev(10, 0, A, EventKind.IRQ_ENTRY, irq=5), ev(20, 0, A, kind, **payload)]
     with pytest.raises(NestingViolation, match=f"ts=20: {kind.value} on cpu 0"):
         build_state_db(events)
+
+
+def test_every_event_kind_is_a_counter_or_has_one_handler():
+    # a kind in neither set would raise KeyError in the fold; one in both
+    # would never reach its handler
+    handlers = _Builder().handlers
+    assert set(_COUNTER_BY_KIND).isdisjoint(handlers)
+    assert set(_COUNTER_BY_KIND) | set(handlers) == set(EventKind)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_bounds_and_count_come_from_the_first_and_last_event(n):
+    events = [switch(0, 99, A), ev(10, 0, A, EventKind.PAGE_FAULT),
+              ev(25, 0, A, EventKind.PAGE_FAULT)][:n]
+    db = build_state_db(iter(events))
+    assert (db.t_min, db.t_max, db.events_consumed) == \
+        ((events[0].ts, events[-1].ts, n) if events else (0, 0, 0))
 
 
 def test_disk_usage_none_in_range():
