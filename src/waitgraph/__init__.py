@@ -54,7 +54,6 @@ from .graph import (
     DepEdge,
     DepGraph,
     DepNode,
-    NodeKind,
     add_edge,
     build_depgraph,
     build_span_graph,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .errors import EmptyCluster, InvalidParameter, RootConflict, TooFewSpans
 from .events import ExecutionSpan
 from .graph import (_DOT_SHAPES, DepGraph, NodeId, _edge_order, _quote, node_id_str,
-                    node_kind, node_label)
+                    node_label)
 from .states import (
     COUNTERS,
     BlockReason,
@@ -182,7 +182,6 @@ class Clustering:
     seed: int
     assignments: dict[str, int]
     centroids: list[list[float]]
-    feature_names: list[str] = field(default_factory=lambda: list(FEATURE_NAMES))
 
 
 def cluster_spans(features: Mapping[str, FeatureVector], k: int,
@@ -204,7 +203,7 @@ def clustering_report_dict(clustering: Clustering,
     spans = [{"span_id": sid, "cluster": cl, "vector": features[sid].as_list()}
              for sid, cl in sorted(clustering.assignments.items())]
     return {"k": clustering.k, "seed": clustering.seed,
-            "features": clustering.feature_names, "spans": spans,
+            "features": list(FEATURE_NAMES), "spans": spans,
             "centroids": clustering.centroids}
 
 
@@ -413,7 +412,7 @@ def comparison_to_dot(cg: ComparisonGraph) -> str:
     for nid in sorted(cg.nodes, key=node_id_str):
         node = cg.nodes[nid]
         lines.append(
-            f"  {_quote(node_id_str(nid))} [shape={_DOT_SHAPES[node_kind(nid)]}, "
+            f"  {_quote(node_id_str(nid))} [shape={_DOT_SHAPES[nid[0]]}, "
             f"style={_NODE_STYLE[node.presence]}, "
             f"label={_quote(node_label(nid))}];")
     for key in _edge_order(cg.edges):
@@ -427,7 +426,7 @@ def comparison_to_dot(cg: ComparisonGraph) -> str:
 
 
 def comparison_to_json_dict(cg: ComparisonGraph) -> dict:
-    nodes = [{"id": node_id_str(nid), "kind": node_kind(nid).value,
+    nodes = [{"id": node_id_str(nid), "kind": nid[0],
               "label": node_label(nid), "presence": n.presence, "boldness": n.boldness}
              for nid, n in sorted(cg.nodes.items(), key=lambda kv: node_id_str(kv[0]))]
     edges = []

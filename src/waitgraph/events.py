@@ -41,6 +41,7 @@ import re
 import secrets
 import stat
 import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -174,15 +175,13 @@ _match_line = re.compile(
 
 @functools.cache
 def _payload_pattern(kind: EventKind) -> tuple[Callable, tuple[str, ...],
-                                              tuple[bool, ...]] | None:
+                                              tuple[bool, ...]]:
     """The fullmatch of a kind's payload as write_trace writes it, the text
     after the kind's closing quote, with the payload keys and whether each
-    value is an int; None when a validator of the kind has no pattern.
-    Compiled on first use, so an import that reads no trace compiles none."""
+    value is an int.  Compiled on first use, so an import that reads no
+    trace compiles none."""
     text, keys, is_int = "", [], []
     for key, check in PAYLOAD_FIELDS[kind]:
-        if check not in _VALUE_PATTERNS:
-            return None
         pattern, int_value = _VALUE_PATTERNS[check]
         text += "," + re.escape(_json_str(key)) + ":" + pattern
         keys.append(key)
@@ -246,10 +245,9 @@ def _read_tail(tail: str, ints: _SharedInts, payloads: dict,
     which the JSON path refuses."""
     name, quote, text = tail.partition('"')
     kind = _KIND_BY_VALUE.get(name) if quote else None
-    pattern = _payload_pattern(kind) if kind is not None else None
-    if pattern is None:
+    if kind is None:
         return None
-    fullmatch, keys, is_int = pattern
+    fullmatch, keys, is_int = _payload_pattern(kind)
     m = fullmatch(text)
     if m is None:
         return None
@@ -387,7 +385,9 @@ def read_trace(source) -> list[TraceEvent]:
     or FIFO will do, since the reader never seeks.
     Each record is checked on its own (JSON, fields, kind, UTF-8) and
     against its predecessor's timestamp; MalformedRecord, UnknownEventKind
-    and NonMonotonicTimestamp carry the offending 1-based line number.
+    and NonMonotonicTimestamp carry the offending 1-based line number.  A
+    gzip stream cut short or corrupt past its header is a MalformedRecord
+    at the line being read.
     Entry/exit nesting is checked by the state-DB fold, not here.
 
     Events that are equal in a field share one object: one int per
@@ -657,6 +657,8 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         # that chunk before the bad byte locate the offending line
         bad_line = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
         raise MalformedRecord(bad_line, f"not UTF-8: {exc.reason}") from exc
+    except (EOFError, zlib.error) as exc:
+        raise MalformedRecord(lineno + 1, f"gzip stream: {exc}") from exc
     finally:
         if opened is not None:
             if stream is not None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 
 from .errors import InvalidParameter
@@ -40,12 +39,6 @@ from .states import (
 )
 
 NodeId = tuple
-
-
-class NodeKind(str, Enum):
-    THREAD = "thread"
-    SYSCALL = "syscall"
-    RESOURCE = "resource"
 
 
 def thread_node_id(tid: int, comm: str) -> NodeId:
@@ -71,10 +64,6 @@ _RUNNING, _RUNNABLE, _INTERRUPTED = (StateKind.RUNNING, StateKind.RUNNABLE,
                                      StateKind.INTERRUPTED)
 
 
-def node_kind(node_id: NodeId) -> NodeKind:
-    return NodeKind(node_id[0])
-
-
 def node_label(node_id: NodeId) -> str:
     kind = node_id[0]
     if kind == "thread":
@@ -88,10 +77,6 @@ def node_label(node_id: NodeId) -> str:
 class DepNode:
     node_id: NodeId
     total_ns: int = 0
-
-    @property
-    def kind(self) -> NodeKind:
-        return node_kind(self.node_id)
 
     @property
     def label(self) -> str:
@@ -375,8 +360,8 @@ def canonicalize(graph: DepGraph) -> DepGraph:
 
 # -- export ------------------------------------------------------------------
 
-_DOT_SHAPES = {NodeKind.THREAD: "box", NodeKind.SYSCALL: "ellipse",
-               NodeKind.RESOURCE: "diamond"}
+# a node id's tag -> its DOT shape
+_DOT_SHAPES = {"thread": "box", "syscall": "ellipse", "resource": "diamond"}
 
 
 def node_id_str(node_id: NodeId) -> str:
@@ -407,7 +392,7 @@ def to_dot(graph: DepGraph, percentages: bool = True,
     for node_id in sorted(graph.nodes, key=node_id_str):
         node = graph.nodes[node_id]
         label = f"{node_label(node_id)} ({node.total_us} µs)"
-        shape = _DOT_SHAPES[node_kind(node_id)]
+        shape = _DOT_SHAPES[node_id[0]]
         extra = ", penwidth=2" if node_id == graph.root_id else ""
         lines.append(f"  {_quote(node_id_str(node_id))} "
                      f"[shape={shape}, label={_quote(label)}{extra}];")
@@ -431,7 +416,7 @@ def to_json_dict(graph: DepGraph) -> dict:
     nodes = []
     for node_id in sorted(graph.nodes, key=node_id_str):
         node = graph.nodes[node_id]
-        nodes.append({"id": node_id_str(node_id), "kind": node_kind(node_id).value,
+        nodes.append({"id": node_id_str(node_id), "kind": node_id[0],
                       "label": node_label(node_id), "total_us": node.total_ns / 1000})
     edges = []
     for key in _edge_order(graph.edges):

@@ -218,21 +218,6 @@ class StateDatabase:
         comm = self.comms.get(tid)
         return comm if comm is not None else f"tid{tid}"
 
-    def thread_tids(self) -> list[int]:
-        tids = []
-        for key in self._intervals:
-            if key.startswith("thread/") and key.endswith("/state"):
-                tids.append(int(key.split("/")[1]))
-        return sorted(tids)
-
-    def query_at(self, key: str, t: int) -> object | None:
-        """The value holding at instant t, or None."""
-        starts, ends, values = self._intervals.get(key, _NO_INTERVALS)
-        i = bisect_right(starts, t) - 1
-        if i >= 0 and ends[i] > t:
-            return values[i]
-        return None
-
     def range_columns(self, key: str, t_a: int, t_b: int) -> IntervalColumns:
         """The starts, ends and values of the intervals intersecting
         [t_a, t_b), clipped, ordered by start, as fresh lists."""

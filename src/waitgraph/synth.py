@@ -38,6 +38,11 @@ from .events import EventKind, TraceEvent, atomic_write_text, json_text, write_t
 from .states import SOFTIRQ_BLOCK
 
 
+# the longest jittered slow span, about 13 days: _split_jitter partitions
+# a span in floats, which stop holding every ns as a span nears 2**52 ns
+_MAX_SPAN_NS = 2**50
+
+
 @dataclass
 class ScenarioSpec:
     scenario: str
@@ -79,10 +84,13 @@ class ScenarioSpec:
             fast = self.fast_us * 1000
         if self.slowdown is not None:
             ratio = self.slowdown
-        # a jittered slow span lasts up to (1 + jitter) times its target
-        if not math.isfinite(fast * ratio * (1.0 + self.jitter)):
+        # a jittered slow span lasts up to (1 + jitter) times its target;
+        # written so that inf and NaN fail too
+        longest = fast * ratio * (1.0 + self.jitter)
+        if not longest <= _MAX_SPAN_NS:
             raise InvalidParameter(
-                "fast_us * slowdown gives a span duration that is not finite")
+                f"fast_us * slowdown gives a slow span of up to {longest:g} ns, "
+                "over the bound of 2**50 ns (about 13 days)")
         fast = int(fast)
         return fast, int(fast * ratio)
 
@@ -92,12 +100,12 @@ def _split_exact(total: int, n: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
-def _split_jitter(total: int, n: int, rng: random.Random,
-                  rel: float = 0.2) -> list[int]:
-    """Partition *total* into n jittered parts that sum exactly."""
+def _split_jitter(total: int, n: int, rng: random.Random) -> list[int]:
+    """Partition *total* into n parts of seeded weights 1 +- 0.2 that sum
+    exactly (the float split needs total <= _MAX_SPAN_NS)."""
     if n == 1:
         return [total]
-    weights = [1.0 + rng.uniform(-rel, rel) for _ in range(n)]
+    weights = [1.0 + rng.uniform(-0.2, 0.2) for _ in range(n)]
     scale = total / sum(weights)
     parts = [int(w * scale) for w in weights]
     for i in range(total - sum(parts)):

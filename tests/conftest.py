@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gzip
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,22 @@ def mixed_fixture():
 
 def slow_ids(gt: dict) -> set[str]:
     return {s["span_id"] for s in gt["spans"] if s["label"] == "slow"}
+
+
+def damaged_gzips(packed: bytes) -> dict[str, bytes]:
+    """A gzip stream damaged three ways: cut in half, the first byte past
+    the 10-byte header whose flip zlib itself rejects (not the CRC check,
+    whose BadGzipFile is an OSError), and only the two magic bytes."""
+    for i in range(10, len(packed) - 8):
+        flipped = bytearray(packed)
+        flipped[i] ^= 0xFF
+        try:
+            gzip.decompress(flipped)
+        except zlib.error:
+            break
+        except (OSError, EOFError):
+            continue
+    else:
+        raise AssertionError("no byte flip of the stream fails in zlib")
+    return {"cut": packed[:len(packed) // 2], "flipped": bytes(flipped),
+            "magic": packed[:2]}

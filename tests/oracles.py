@@ -26,6 +26,20 @@ def linear_query_range(db: StateDatabase, key: str, t_a: int, t_b: int) -> list[
     return hits
 
 
+def value_at(db: StateDatabase, key: str, t: int) -> object | None:
+    """The value of the key's interval holding instant t, or None, by a scan."""
+    for sv in db.intervals(key):
+        if sv.start <= t < sv.end:
+            return sv.value
+    return None
+
+
+def thread_tids(db: StateDatabase) -> list[int]:
+    """The sorted tids that have a thread/{tid}/state key."""
+    return sorted(int(key.split("/")[1]) for key in db.keys()
+                  if key.startswith("thread/") and key.endswith("/state"))
+
+
 def _clip_scan(db: StateDatabase, key: str, t_a: int, t_b: int) -> list[StateValue]:
     out = []
     for sv in db.intervals(key):

@@ -25,7 +25,7 @@ from waitgraph.events import extract_spans, read_trace
 from waitgraph.graph import build_depgraph, build_span_graph, canonicalize
 from waitgraph.states import build_state_db
 from waitgraph.synth import ScenarioSpec, generate, generate_files
-from oracles import brute_force_edge_weights, linear_query_range
+from oracles import brute_force_edge_weights, linear_query_range, thread_tids
 from randtrace import random_trace
 
 
@@ -142,7 +142,7 @@ def test_criterion_5_graph_weight_oracle_equivalence():
             events = random_trace(seed=seed, n_events=rng.randint(150, 1000))
             assert len(events) <= 1_010
             db = build_state_db(events)
-            root = rng.choice(db.thread_tids())
+            root = rng.choice(thread_tids(db))
             ts_s = rng.randint(db.t_min, db.t_max - 1)
             ts_e = rng.randint(ts_s + 1, db.t_max)
             g = build_depgraph(db, root, ts_s, ts_e)

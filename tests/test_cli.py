@@ -27,7 +27,7 @@ from waitgraph.states import COUNTERS, build_state_db
 from waitgraph.events import (EventKind, atomic_output, extract_spans, read_trace,
                               write_trace)
 from waitgraph.synth import ScenarioSpec, generate
-from conftest import SRC
+from conftest import SRC, damaged_gzips
 from oracles import counter_lines_by_scan
 from randtrace import random_trace
 
@@ -693,6 +693,23 @@ def test_synth_non_finite_float_exits_2(tmp_path, capsys, flag, value):
                     "--out-dir", str(tmp_path)], capsys)
     assert flag[2:].replace("-", "_") in err
     assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("damage", ["cut", "flipped", "magic"])
+@pytest.mark.parametrize("command", [["inspect"], ["graph", "--span", "s0000"]],
+                         ids=["inspect", "graph"])
+def test_damaged_gzip_trace_exits_2_and_writes_no_sidecar(tmp_path, capsys, command,
+                                                          damage):
+    assert main(["synth", "--scenario", "lock", "--spans", "4", "--gz",
+                 "--out-dir", str(tmp_path)]) == 0
+    trace = tmp_path / "trace.jsonl.gz"
+    trace.write_bytes(damaged_gzips(trace.read_bytes())[damage])
+    capsys.readouterr()
+    out = tmp_path / "x.out"
+    err = _exits_2([command[0], str(trace), *command[1:], "--out", str(out)], capsys)
+    assert "gzip stream" in err
+    assert not out.exists()
+    assert not (tmp_path / "trace.jsonl.gz.wgstate").exists()
 
 
 def test_synth_spans_too_short_for_the_plan_exit_2_and_write_nothing(tmp_path, capsys):

@@ -46,6 +46,7 @@ from waitgraph.states import (
     thread_syscall_key,
 )
 from waitgraph.synth import SCENARIOS, ScenarioSpec, generate
+from conftest import damaged_gzips
 from randtrace import random_trace
 
 
@@ -200,6 +201,20 @@ def test_gzip_detected_by_magic():
     payload = _as_bytes(_switch(10, 1, 2))
     events = read_trace(gzip.compress(payload))
     assert len(events) == 1 and events[0].ts == 10
+
+
+@pytest.mark.parametrize("damage", ["cut", "flipped", "magic"])
+def test_damaged_gzip_is_a_malformed_record_after_the_lines_it_read(damage):
+    data = _as_bytes(*(_line(ts=ts, cpu=ts % 4, tid=1 + ts % 7, comm="x",
+                             kind="io_read", bytes=ts * 37 % 4096 + 1)
+                       for ts in range(3000)))
+    whole = read_trace(data)
+    read = []
+    with pytest.raises(MalformedRecord, match="gzip stream") as exc:
+        for ev in iter_trace(damaged_gzips(gzip.compress(data))[damage]):
+            read.append(ev)
+    assert exc.value.line == len(read) + 1
+    assert read == whole[:len(read)]
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
@@ -446,24 +461,6 @@ def test_every_kind_has_a_canonical_line_case():
     assert set(_CANONICAL_LINES) == set(EventKind)
     for kind, line in _CANONICAL_LINES.items():
         assert _trace_text(read_trace(line.encode())) == line.encode()
-
-
-def test_a_kind_whose_validator_has_no_pattern_reads_as_json():
-    data = (_CANONICAL_LINES[EventKind.SYSCALL_ENTRY]
-            + _CANONICAL_LINES[EventKind.IO_READ]).encode()
-    patterns = {check: value for check, value in events_mod._VALUE_PATTERNS.items()
-                if check is not events_mod._nonempty_str}
-    events_mod._payload_pattern.cache_clear()
-    try:
-        with mock.patch.object(events_mod, "_VALUE_PATTERNS", patterns), \
-                mock.patch.object(events_mod, "_parse_line",
-                                  wraps=events_mod._parse_line) as parse:
-            got = _outcome(data)
-    finally:
-        events_mod._payload_pattern.cache_clear()
-    assert parse.call_count == 1
-    assert got == _slow_outcome(data)
-    assert got[0].payload == {"name": "futex"}
 
 
 # mostly values the fast path takes; 0 (no valid tid) and the 18/19-digit edge

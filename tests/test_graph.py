@@ -32,7 +32,7 @@ from waitgraph.graph import (
 from waitgraph.states import BlockReason, StateKind, build_state_db, thread_state_key
 from waitgraph.synth import ScenarioSpec, generate
 from conftest import slow_ids
-from oracles import brute_force_edge_weights
+from oracles import brute_force_edge_weights, thread_tids
 from randtrace import random_trace
 
 
@@ -309,7 +309,7 @@ def _random_walk(seed: int, max_depth: int) -> tuple[DepGraph, dict]:
     rng = random.Random(seed)
     events = random_trace(seed=seed, n_events=rng.randint(200, 700))
     db = build_state_db(events)
-    tids = db.thread_tids()
+    tids = thread_tids(db)
     root = rng.choice(tids)
     ts_s = rng.randint(db.t_min, db.t_max - 1)
     ts_e = rng.randint(ts_s + 1, db.t_max)
@@ -374,7 +374,7 @@ def test_graph_time_identities(lock_fixture, cpu_fixture, disk_fixture, mixed_fi
     for seed in range(300):
         rng = random.Random(seed)
         db = build_state_db(random_trace(seed=seed, n_events=rng.randint(150, 1500)))
-        tids = db.thread_tids()
+        tids = thread_tids(db)
         for _ in range(5):
             root = rng.choice(tids)
             ts_s = rng.randint(db.t_min, db.t_max - 1)
@@ -503,7 +503,7 @@ def test_random_graphs_match_pinned_digest():
     for seed in range(100):
         rng = random.Random(seed)
         db = build_state_db(random_trace(seed=seed, n_events=rng.randint(150, 1500)))
-        tids = db.thread_tids()
+        tids = thread_tids(db)
         for _ in range(5):
             root = rng.choice(tids)
             ts_s = rng.randint(db.t_min, db.t_max - 1)

@@ -27,7 +27,7 @@ from waitgraph.states import (
     thread_syscall_key,
 )
 from waitgraph.synth import ScenarioSpec, generate
-from oracles import counter_lines_by_scan, linear_query_range
+from oracles import counter_lines_by_scan, linear_query_range, thread_tids, value_at
 from randtrace import random_trace
 
 
@@ -95,9 +95,9 @@ def test_hand_simulated_state_machine(blocked_fixture_db):
 
 
 def test_query_at_blocked_episode(blocked_fixture_db):
-    got = blocked_fixture_db.query_at(thread_state_key(A), 30)
+    got = value_at(blocked_fixture_db, thread_state_key(A), 30)
     assert got == ThreadState(StateKind.BLOCKED, BlockReason.TASK, B)
-    assert blocked_fixture_db.query_at(thread_state_key(A), 80) is None
+    assert value_at(blocked_fixture_db, thread_state_key(A), 80) is None
 
 
 def test_query_range_clips_adjacent_intervals(blocked_fixture_db):
@@ -137,7 +137,7 @@ def test_hrtimer_wakeup_sets_timer_reason():
         switch(40, B, A),
     ]
     db = build_state_db(events)
-    blocked = db.query_at(thread_state_key(A), 10)
+    blocked = value_at(db, thread_state_key(A), 10)
     assert blocked == ThreadState(StateKind.BLOCKED, BlockReason.TIMER, None)
 
 
@@ -153,7 +153,7 @@ def test_softirq_vector_maps_to_disk_and_network():
             switch(40, B, A),
         ]
         db = build_state_db(events)
-        got = db.query_at(thread_state_key(A), 10)
+        got = value_at(db, thread_state_key(A), 10)
         assert got.reason is reason, vec
 
 
@@ -167,7 +167,7 @@ def test_task_wake_inside_futex_is_futex_reason():
         ev(70, 0, A, EventKind.SYSCALL_EXIT, name="futex_wait"),
     ]
     db = build_state_db(events)
-    got = db.query_at(thread_state_key(A), 10)
+    got = value_at(db, thread_state_key(A), 10)
     assert got == ThreadState(StateKind.BLOCKED, BlockReason.FUTEX, B)
 
 
@@ -379,8 +379,8 @@ def test_thread_first_seen_by_page_fault_runs_on_that_cpu():
     db = build_state_db(events)
     assert db.intervals(thread_state_key(A)) == [
         StateValue(5, 20, thread_state_key(A), ThreadState(StateKind.RUNNING))]
-    assert db.query_at(thread_cpu_key(A), 5) == 2
-    assert db.query_at(cpu_current_key(2), 5) == A
+    assert value_at(db, thread_cpu_key(A), 5) == 2
+    assert value_at(db, cpu_current_key(2), 5) == A
     assert db.counter_steps(A, "pagefaults") == ([5, 8], [1, 2])
 
 
@@ -410,7 +410,7 @@ def _tiling_ok(db, tid) -> bool:
 def test_state_tiling_no_gaps_no_overlaps(seed):
     events = random_trace(seed=seed, n_events=600)
     db = build_state_db(events)
-    for tid in db.thread_tids():
+    for tid in thread_tids(db):
         assert _tiling_ok(db, tid), tid
 
 
@@ -421,7 +421,7 @@ def test_cpu_exclusivity(seed):
     # at any instant at most one thread is running per cpu: the running
     # intervals of all threads on one cpu must never overlap
     by_cpu: dict[int, list[tuple[int, int]]] = {}
-    for tid in db.thread_tids():
+    for tid in thread_tids(db):
         for sv in db.intervals(f"thread/{tid}/cpu"):
             by_cpu.setdefault(int(sv.value), []).append((sv.start, sv.end))
     for cpu, spans in by_cpu.items():
@@ -450,8 +450,9 @@ def test_query_range_matches_linear_oracle(seed):
         bounds = sorted({t + d for sv in ivs for t in (sv.start, sv.end)
                          for d in (-1, 0, 1)})
         for t in bounds:
-            assert db.query_at(key, t) == next(
-                (sv.value for sv in ivs if sv.start <= t < sv.end), None), (key, t)
+            at = value_at(db, key, t)
+            assert db.range_columns(key, t, t + 1) == (
+                ([], [], []) if at is None else ([t], [t + 1], [at])), (key, t)
             assert db.last_value_before(key, t) == next(
                 (sv.value for sv in reversed(ivs) if sv.start < t), None), (key, t)
         for i in rng.sample(range(len(bounds)), min(6, len(bounds))):
@@ -567,4 +568,4 @@ def test_irq_context_wake_stays_unknown():
         switch(40, B, A),
     ]
     default = build_state_db(events)
-    assert default.query_at(thread_state_key(A), 10).reason is BlockReason.UNKNOWN
+    assert value_at(default, thread_state_key(A), 10).reason is BlockReason.UNKNOWN

@@ -11,7 +11,7 @@ from waitgraph.analysis import extract_features
 from waitgraph.errors import InvalidParameter
 from waitgraph.events import extract_spans, read_trace, write_trace
 from waitgraph.states import build_state_db, thread_syscall_key
-from waitgraph.synth import ScenarioSpec, generate, generate_files
+from waitgraph.synth import _MAX_SPAN_NS, ScenarioSpec, generate, generate_files
 from conftest import slow_ids
 
 
@@ -82,6 +82,26 @@ def test_invalid_parameters_rejected():
         ScenarioSpec("lock", n_spans=0)
     with pytest.raises(InvalidParameter):
         ScenarioSpec("lock", slowdown=0.5)
+
+
+@pytest.mark.parametrize("scenario", ["lock", "disk"])
+def test_slow_span_beyond_the_bound_is_refused(scenario):
+    # a float partition of a span this long would loop for ages
+    with pytest.raises(InvalidParameter, match=r"fast_us \* slowdown"):
+        ScenarioSpec(scenario, slowdown=1e300)
+
+
+@pytest.mark.parametrize("scenario", ["lock", "disk", "cpu"])
+def test_slow_spans_up_to_the_bound_generate(scenario):
+    default = ScenarioSpec(scenario)
+    longest = default._span_ns()[0] * (1 + default.jitter)
+    spec = ScenarioSpec(scenario, seed=3, n_spans=4, slow_fraction=1.0,
+                        slowdown=_MAX_SPAN_NS / longest)
+    events, _ = generate(spec)
+    build_state_db(events)
+    durations = [s.duration_ns for s in extract_spans(events).spans]
+    assert len(durations) == 4
+    assert _MAX_SPAN_NS * 0.95 < max(durations) <= _MAX_SPAN_NS
 
 
 def test_lock_defaults_realize_percent_targets(lock_fixture):
