@@ -5,7 +5,9 @@ Subcommands: synth, graph, cluster, compare, inspect.  Exit codes:
 4 internal invariant breach.  All randomness flows from --seed; identical
 inputs and flags produce byte-identical outputs.  graph, cluster, compare
 and inspect keep the trace's fold in a TRACE.wgstate sidecar that only
-saves time (see _load_pipeline).
+saves time (see _load_pipeline).  A command imports the analysis and synth
+modules only if it uses them, and only its own subcommand gets its
+arguments (see build_parser).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from array import array
 from dataclasses import fields
 from pathlib import Path
 
-from . import analysis, events, graph, states, synth
+from . import events, graph, states
 from .errors import InputError, InvalidParameter, OverlappingSpan, TraceAnalysisError
 from .events import (atomic_output, atomic_write_text, extract_spans, iter_trace,
                      json_text)
@@ -40,7 +42,8 @@ class _NotFound(Exception):
 # and the states._encode_state body, a JSON index line and an int64 blob.
 # Any mismatch, unreadable sidecar or body that does not decode means a
 # fold as if there were none; deleting the file is always safe.  A fold
-# with a value beyond int64 writes no sidecar.
+# with a value beyond int64, or a key that holds a newline, writes no
+# sidecar.
 _SIDECAR_MAGIC = b"waitgraph-state"
 _SIDECAR_SOURCES = (events.__file__, states.__file__, __file__)
 
@@ -88,8 +91,8 @@ def _read_sidecar(path: Path, prefix: bytes):
 def _write_sidecar(path: Path, prefix: bytes, db) -> None:
     try:
         index, blob = states._encode_state(db)
-    except OverflowError:
-        return  # a value beyond int64: the next command folds again
+    except (OverflowError, ValueError):
+        return  # a value beyond int64, a key with a newline: the next command folds again
     digest = hashlib.sha256(index)
     digest.update(blob)
     try:
@@ -135,6 +138,8 @@ def _load_spans(trace_path: str):
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     spec = synth.ScenarioSpec(**{f.name: getattr(args, f.name)
                                  for f in fields(synth.ScenarioSpec)})
     out_dir = Path(args.out_dir)
@@ -167,6 +172,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import analysis
+
     db, spans = _load_spans(args.trace)
     feats = {sid: analysis.extract_features(db, s) for sid, s in spans.items()}
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
@@ -181,6 +188,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis
+
     db, spans = _load_spans(args.trace)
     by_cluster = analysis.read_clustering_report(args.report)
     reps = []
@@ -222,15 +231,10 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="waitgraph",
-        description="Reconstruct thread states from kernel-style traces and "
-                    "localize off-CPU latency with waiting-dependency graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
+    from . import synth
 
     spec = synth.ScenarioSpec  # each synth flag sets the field it names
-    p = sub.add_parser("synth", help="generate a synthetic scenario trace")
     p.add_argument("--scenario", required=True, choices=synth.SCENARIO_NAMES)
     p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--spans", type=int, default=spec.n_spans, dest="n_spans",
@@ -245,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("graph", help="build one span's dependency graph")
+
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace")
     p.add_argument("--span", required=True)
     p.add_argument("--out", required=True, help="DOT output path")
@@ -257,14 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=graph.MAX_DEPTH)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("cluster", help="extract features and k-means group spans")
+
+def _cluster_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON report path")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("compare", help="diff two cluster representative graphs")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
+    from . import analysis
+
     p.add_argument("trace")
     p.add_argument("--report", required=True, help="cluster report JSON")
     p.add_argument("--left", type=int, required=True)
@@ -275,19 +284,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=graph.MAX_DEPTH)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("inspect", help="dump state database slices")
+
+def _inspect_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace")
     p.add_argument("--key", default=None, help="key prefix filter")
     p.add_argument("--from", dest="from_ns", type=int, default=None)
     p.add_argument("--to", dest="to_ns", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inspect)
+
+
+# subcommand -> (its help, what adds its arguments)
+_SUBCOMMANDS = {
+    "synth": ("generate a synthetic scenario trace", _synth_arguments),
+    "graph": ("build one span's dependency graph", _graph_arguments),
+    "cluster": ("extract features and k-means group spans", _cluster_arguments),
+    "compare": ("diff two cluster representative graphs", _compare_arguments),
+    "inspect": ("dump state database slices", _inspect_arguments),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command line parser.  Given the argv it is to parse, only the
+    subcommand that argv runs gets its arguments, and so imports only what
+    they need; every subcommand still lists with its help.  The parser
+    reads argv exactly as one that gives every subcommand its arguments."""
+    run = None
+    if argv is not None:
+        # the top-level parser has no option that takes a value, so the
+        # first argument that is not an option names the subcommand
+        run = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="waitgraph",
+        description="Reconstruct thread states from kernel-style traces and "
+                    "localize off-CPU latency with waiting-dependency graphs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if argv is None or name == run:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

@@ -45,6 +45,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -555,7 +556,22 @@ def _write_chunk(fh, lines: list[str]) -> None:
         lines.clear()
 
 
-MARKER_KINDS = frozenset((EventKind.SPAN_BEGIN, EventKind.SPAN_END))
+# tested by identity, once per event: a set lookup would hash the enum
+# member in Python
+_SPAN_BEGIN, _SPAN_END = EventKind.SPAN_BEGIN, EventKind.SPAN_END
+_BEGIN_ORDER = attrgetter("t_start", "span_id")
+_new_object = object.__new__
+
+
+def _completed_span(span_id: str, root_tid: int, t_start: int, t_end: int) -> ExecutionSpan:
+    """ExecutionSpan(span_id, root_tid, t_start, t_end), the same frozen
+    span, built without the dataclass __init__: that sets each field
+    through object.__setattr__, which was most of extract_spans' time."""
+    if t_start >= t_end:
+        return ExecutionSpan(span_id, root_tid, t_start, t_end)  # raises EmptySpan
+    span = _new_object(ExecutionSpan)
+    span.__dict__.update(span_id=span_id, root_tid=root_tid, t_start=t_start, t_end=t_end)
+    return span
 
 
 def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
@@ -570,21 +586,21 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     open_by_key: dict[str, tuple[int, int]] = {}  # span_id -> (root_tid, t_start)
     done: list[ExecutionSpan] = []
     for ev in events:
-        if ev.kind not in MARKER_KINDS:
-            continue
-        key = ev.payload["span_id"]
-        if ev.kind is EventKind.SPAN_BEGIN:
+        kind = ev.kind
+        if kind is _SPAN_BEGIN:
+            key = ev.payload["span_id"]
             if key in open_by_key:
                 raise OverlappingSpan(f"span {key!r} re-opened at ts={ev.ts}")
             open_by_key[key] = (ev.tid, ev.ts)
-        else:
+        elif kind is _SPAN_END:
+            key = ev.payload["span_id"]
             opened = open_by_key.pop(key, None)
             if opened is None:
                 raise UnmatchedEnd(f"span {key!r} ended at ts={ev.ts} with no begin")
-            done.append(ExecutionSpan(key, opened[0], opened[1], ev.ts))
+            done.append(_completed_span(key, *opened, ev.ts))
     # a dict keeps insertion order: the spans left open, in begin order
     still_open = [OpenSpan(key, tid, ts) for key, (tid, ts) in open_by_key.items()]
-    done.sort(key=lambda s: (s.t_start, s.span_id))
+    done.sort(key=_BEGIN_ORDER)
     return SpanExtraction(spans=done, open_spans=still_open)
 
 

@@ -39,6 +39,7 @@ for the keys its queries touch.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
@@ -46,10 +47,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, pairwise, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import NestingViolation, SwitchConflict
-from .events import MARKER_KINDS, EventKind, TraceEvent, _gc_paused
+from .events import EventKind, TraceEvent, _gc_paused, _ReadOnlyPayload
 
 
 class StateKind(str, Enum):
@@ -196,10 +198,10 @@ class StateDatabase:
     def __init__(self, intervals: Mapping[str, IntervalColumns],
                  counters: dict[str, Mapping[int, CounterColumns]], comms: dict[int, str],
                  t_min: int, t_max: int, events_consumed: int,
-                 markers: list[TraceEvent]):
+                 markers: list[TraceEvent], disk_keys: list[str]):
         self._intervals = intervals
         self._counters = counters
-        self.disk_keys = sorted(k for k in intervals if k.startswith("disk/"))
+        self.disk_keys = disk_keys  # the disk/{dev}/active_tid keys, sorted
         self.markers = markers
         self.comms = comms
         self.t_min = t_min
@@ -514,8 +516,10 @@ class _Builder:
                     totals.pop()
                     if not stamps:
                         del columns[tid]
+        disk_keys = sorted(k for k in map(disk_active_key, self.active_tid)
+                           if k in intervals)
         return StateDatabase(intervals, self.counters, self.comms, t_min, end, count,
-                             self.markers)
+                             self.markers, disk_keys)
 
 
 def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
@@ -558,40 +562,49 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
 
 # -- the CLI's state sidecar body ------------------------------------------
 #
-# The body is an index line and a blob.  The index is sorted-key JSON whose
-# lists are columns: the interval keys and their row counts, per counter
-# the tids and their row counts, the table of distinct interval values, the
-# comms, t_min, t_max, events_consumed and the span markers.  The interval
-# keys come in three families, each sorted: the int-valued keys (a tid or a
-# CPU), then thread/{tid}/syscall (a name), then thread/{tid}/state (a
-# ThreadState, stored as a [kind, reason, waker_tid] list); the value table
-# holds the families' distinct values in the same order, in three lists.
-# The blob is little-endian int64: every key's starts, then every key's
-# ends, then every key's index into the value table, then per counter every
+# The body is an index line and a blob.  The index is sorted-key JSON that
+# holds only strings and the value table: the interval keys in three
+# families, each sorted: the int-valued keys (a tid or a CPU), then
+# thread/{tid}/syscall (a name), then thread/{tid}/state (a ThreadState,
+# stored as a [kind, reason, waker_tid] list); the table of distinct
+# interval values, by family in the same order; the comms; and the span
+# markers' comms and span ids.  The blob is little-endian int64, in
+# sections: t_min, t_max, events_consumed and each counter's number of
+# tids; the comms' tids; each key's row count; per counter its tids, then
+# each tid's row count; the markers' ts, then their cpu, tid and kind (an
+# index into _MARKER_KINDS); every key's starts, then every key's ends,
+# then every key's index into the value table; and per counter every
 # tid's stamps, then every tid's totals.
 
 # True on a big-endian host, whose arrays swap to and from the blob's order
 _SWAP = array("q", [1]).tobytes()[0] != 1
-_MARKER_BY_VALUE = {k.value: k for k in MARKER_KINDS}
-# the ends of the int-valued keys: thread/{tid}/cpu, cpu/{n}/current_tid and
-# disk/{dev}/active_tid
-_INT_KEY_ENDS = ("/cpu", "/current_tid", "/active_tid")
+_MARKER_KINDS = (EventKind.SPAN_BEGIN, EventKind.SPAN_END)
+_HEADER = 3 + len(COUNTERS)
+# a family's keys with a "\n" after each; the int-valued keys are
+# thread/{tid}/cpu, cpu/{n}/current_tid and disk/{dev}/active_tid
+_FAMILY_LINES = tuple(re.compile(f"(?:{line}\n)*").fullmatch for line in (
+    r"[^\n]*/(?:cpu|current_tid|active_tid)",
+    r"(?=thread/)[^\n]*/syscall",
+    r"thread/\d+/state"))
 
 
 class _Columns(Mapping):
     """Read-only key -> columns over one section of a sidecar blob.
 
     The section holds ``width`` columns one after another, each with the
-    rows of every key in ``rows`` order.  A key's columns are cut out of
-    the blob (the last one mapped through ``table``, if given) the first
-    time the key is read, and kept."""
+    rows of every key in ``keys`` order, ``rows[i]`` of them for keys[i].
+    A key's columns are cut out of the blob (the last one mapped through
+    ``table``, if given) the first time the key is read, and kept.  Raises
+    ValueError when a key repeats or has no rows."""
 
-    def __init__(self, blob: array, base: int, rows: dict, width: int,
+    def __init__(self, blob: array, base: int, keys: list, rows: list[int], width: int,
                  table: list | None):
         self._blob = blob
-        self._rows = rows
-        self._at = dict(zip(rows, accumulate(rows.values(), initial=base)))
-        self._stride = sum(rows.values())
+        self._index = dict(zip(keys, range(len(keys))))
+        self._at = list(accumulate(rows, initial=base))
+        if len(self._index) != len(keys) or (rows and min(rows) < 1):
+            raise ValueError("a repeated key, or a key without rows")
+        self._stride = self._at[-1] - base
         self._width = width
         self._table = table
         self._cut: dict = {}
@@ -603,11 +616,13 @@ class _Columns(Mapping):
     def get(self, key, default=None):
         cols = self._cut.get(key)
         if cols is None:
-            return self._cut_out(key) if key in self._at else default
+            return self._cut_out(key) if key in self._index else default
         return cols
 
     def _cut_out(self, key) -> tuple:
-        at, n, stride, blob = self._at[key], self._rows[key], self._stride, self._blob
+        i = self._index[key]
+        at, stride, blob = self._at[i], self._stride, self._blob
+        n = self._at[i + 1] - at
         cols = [blob[a:a + n].tolist()
                 for a in range(at, at + self._width * stride, stride)]
         if self._table is not None:
@@ -616,28 +631,41 @@ class _Columns(Mapping):
         return cols
 
     def __contains__(self, key) -> bool:
-        return key in self._at
+        return key in self._index
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._index)
 
 
 def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
     """A database, span markers included, as a sidecar body: the index
     line and the blob (see above), to be written one after the other.
-    Raises OverflowError when a start, end, stamp or total does not fit
-    in int64."""
+    Raises OverflowError when a bound, marker field, start, end, stamp or
+    total does not fit in int64, and ValueError for a key that holds a
+    newline, which the decoder refuses."""
     families: tuple[list[str], list[str], list[str]] = ([], [], [])
     for key in sorted(db._intervals):
+        if "\n" in key:
+            raise ValueError(f"key {key!r} holds a newline")
         families[key.endswith("/syscall") + 2 * key.endswith("/state")].append(key)
     keys = [key for family in families for key in family]
+    counters = [db._counters[c] for c in COUNTERS]
+    markers = db.markers
     # the keys run family by family, so the table does too
     table: dict[object, int] = {}
-    blob = array("q")
+    blob = array("q", [db.t_min, db.t_max, db.events_consumed, *map(len, counters)])
     with _gc_paused():
+        blob.extend(db.comms)
+        blob.extend([len(db._intervals[key][0]) for key in keys])
+        for columns in counters:
+            blob.extend(columns)
+            blob.extend([len(stamps) for stamps, _ in columns.values()])
+        for field in ("ts", "cpu", "tid"):
+            blob.extend(map(attrgetter(field), markers))
+        blob.extend([_MARKER_KINDS.index(ev.kind) for ev in markers])
         for col in (0, 1):
             for key in keys:
                 blob.extend(db._intervals[key][col])
@@ -648,25 +676,17 @@ def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
             sizes.append(len(table) - sum(sizes))
         values = [[v.kind.value, v.reason and v.reason.value, v.waker_tid]
                   if type(v) is ThreadState else v for v in table]
-        for c in COUNTERS:
+        for columns in counters:
             for col in (0, 1):
-                for cols in db._counters[c].values():
+                for cols in columns.values():
                     blob.extend(cols[col])
-        markers = [(ev.ts, ev.cpu, ev.tid, ev.comm, ev.kind.value, ev.payload["span_id"])
-                   for ev in db.markers]
         index = json.dumps({
-            "intervals": [keys, [len(db._intervals[key][0]) for key in keys],
-                          [len(family) for family in families]],
+            "comms": list(db.comms.values()),
+            "keys": families,
+            "markers": [[ev.comm for ev in markers],
+                        [ev.payload["span_id"] for ev in markers]],
             "values": [values[:sizes[0]], values[sizes[0]:sizes[0] + sizes[1]],
                        values[sizes[0] + sizes[1]:]],
-            "counters": {c: [list(db._counters[c]),
-                             [len(stamps) for stamps, _ in db._counters[c].values()]]
-                         for c in COUNTERS},
-            "comms": [list(db.comms), list(db.comms.values())],
-            "t_min": db.t_min,
-            "t_max": db.t_max,
-            "events_consumed": db.events_consumed,
-            "markers": list(map(list, zip(*markers))) or [[]] * 6,
         }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
     if _SWAP:
         blob.byteswap()
@@ -678,14 +698,6 @@ def _typed(column: object, kind: type) -> list:
     if type(column) is not list or not set(map(type, column)) <= {kind}:
         raise ValueError(f"not a list of {kind.__name__}")
     return column
-
-
-def _rows(keys: object, counts: object, kind: type) -> dict:
-    """Row counts by key; the fold writes no empty column."""
-    rows = dict(zip(_typed(keys, kind), _typed(counts, int)))
-    if not len(keys) == len(counts) == len(rows) or (counts and min(counts) < 1):
-        raise ValueError("bad keys or row counts")
-    return rows
 
 
 def _thread_state(v: object) -> ThreadState:
@@ -703,56 +715,76 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
     """The inverse of _encode_state, given the index line and the blob read
     as int64s.  The whole body is checked here, so that every value a query
     returns has the type the fold gives its key: the type of every index
-    field, each key's name against its family, the value table by family,
-    t_min <= t_max, row counts that are positive and add up to the blob,
-    and each key's value indices inside its family's part of the table.
-    Raises ValueError, TypeError or LookupError for a body that fails a
-    check."""
+    field, each family's keys (named for the family, sorted, no newline),
+    the value table by family, t_min <= t_max, distinct tids, markers of
+    the two marker kinds, row counts that are positive and add up to the
+    blob, and each key's value indices inside its family's part of the
+    table.  Each check is one pass over a column or a family, not a step
+    per key.  Raises ValueError, TypeError or LookupError for a body that
+    fails a check."""
     if _SWAP:
         blob.byteswap()
     with _gc_paused():
         obj = json.loads(index)
-        keys, counts, family_sizes = obj["intervals"]
-        intervals = _rows(keys, counts, str)
+        families = obj["keys"]
+        if type(families) is not list or len(families) != 3:
+            raise ValueError("not three key families")
+        for family, fullmatch in zip(families, _FAMILY_LINES):
+            # a key that holds a newline adds a line
+            lines = "\n".join([*_typed(family, str), ""])
+            if not fullmatch(lines) or lines.count("\n") != len(family) \
+                    or family != sorted(family):
+                raise ValueError("a key is not in its family, or out of order")
+        keys = [*families[0], *families[1], *families[2]]
         family_values = obj["values"]
         ints, names, states = family_values
         table = [*_typed(ints, int), *_typed(names, str), *map(_thread_state, states)]
-        key_ends = list(accumulate(_typed(family_sizes, int), initial=0))
-        if len(key_ends) != 4 or key_ends[3] != len(keys) \
-                or not all(k.endswith(_INT_KEY_ENDS) for k in keys[:key_ends[1]]) \
-                or not all(k.startswith("thread/") and k.endswith("/syscall")
-                           for k in keys[key_ends[1]:key_ends[2]]) \
-                or not all(k.startswith("thread/") and k.endswith("/state")
-                           and k[7:-6].isdecimal() for k in keys[key_ends[2]:]):
-            raise ValueError("a key is not in its family")
-        counter_rows = [_rows(*obj["counters"][c], int) for c in COUNTERS]
-        tids, comm_names = obj["comms"]
-        comms = dict(zip(_typed(tids, int), _typed(comm_names, str)))
-        bounds = obj["t_min"], obj["t_max"], obj["events_consumed"]
-        ts, cpus, marker_tids, marker_comms, kinds, span_ids = obj["markers"]
-        kinds = list(map(_MARKER_BY_VALUE.__getitem__, _typed(kinds, str)))
-        if not len(tids) == len(comm_names) == len(comms) \
-                or not set(map(type, bounds)) <= {int} or bounds[0] > bounds[1] \
-                or len({len(ts), len(cpus), len(marker_tids), len(marker_comms),
-                        len(kinds), len(span_ids)}) != 1:
-            raise ValueError("bad comms, bounds or markers")
-        markers = list(map(TraceEvent, _typed(ts, int), _typed(cpus, int),
-                           _typed(marker_tids, int), _typed(marker_comms, str), kinds,
-                           [{"span_id": s} for s in _typed(span_ids, str)]))
-        n = sum(counts)
-        sizes = [2 * sum(rows.values()) for rows in counter_rows]
-        if 3 * n + sum(sizes) != len(blob):
+        comm_names = _typed(obj["comms"], str)
+        marker_comms, span_ids = obj["markers"]
+        n_markers = len(_typed(span_ids, str))
+        t_min, t_max, events_consumed, *n_tids = blob[:_HEADER].tolist()
+        if t_min > t_max or min(n_tids) < 0 \
+                or len(_typed(marker_comms, str)) != n_markers:
+            raise ValueError("bad bounds, counter sizes or markers")
+        at = _HEADER
+
+        def cut(n: int) -> list[int]:
+            """The next n ints of the blob."""
+            nonlocal at
+            at += n
+            return blob[at - n:at].tolist()
+
+        comms = dict(zip(cut(len(comm_names)), comm_names))
+        rows = cut(len(keys))
+        counter_keys = [(cut(n), cut(n)) for n in n_tids]  # (tids, row counts)
+        ts, cpus, tids, kinds = [cut(n_markers) for _ in range(4)]
+        if len(comms) != len(comm_names) \
+                or (kinds and not 0 <= min(kinds) <= max(kinds) <= 1):
+            raise ValueError("a repeated comm tid, or a marker of another kind")
+        n = sum(rows)
+        intervals = _Columns(blob, at, keys, rows, 3, table)
+        counters = {}
+        base = at + 3 * n
+        for c, (tids_of_c, rows_of_c) in zip(COUNTERS, counter_keys):
+            counters[c] = _Columns(blob, base, tids_of_c, rows_of_c, 2, None)
+            base += 2 * sum(rows_of_c)
+        if base != len(blob):
             raise ValueError("the row counts do not add up to the blob")
         # each family's value indices fall in its own part of the table
-        row_ends = accumulate((sum(counts[a:b]) for a, b in pairwise(key_ends)),
-                              initial=2 * n)
+        key_ends = accumulate(map(len, families), initial=0)
+        row_ends = accumulate((sum(rows[a:b]) for a, b in pairwise(key_ends)),
+                              initial=at + 2 * n)
         table_ends = accumulate(map(len, family_values), initial=0)
-        for (at, to), (lo, hi) in zip(pairwise(row_ends), pairwise(table_ends)):
-            value_index = blob[at:to]
+        for (a, b), (lo, hi) in zip(pairwise(row_ends), pairwise(table_ends)):
+            value_index = set(blob[a:b])  # a few distinct values, many rows
             if value_index and not (lo <= min(value_index) and max(value_index) < hi):
                 raise ValueError("a value index is outside its family's table")
-        bases = accumulate(sizes, initial=3 * n)
-        counters = {c: _Columns(blob, base, rows, 2, None)
-                    for c, base, rows in zip(COUNTERS, bases, counter_rows)}
-        return StateDatabase(_Columns(blob, 0, intervals, 3, table), counters, comms,
-                             *bounds, markers)
+        markers = list(map(TraceEvent, ts, cpus, tids, marker_comms,
+                           map(_MARKER_KINDS.__getitem__, kinds),
+                           [_ReadOnlyPayload(span_id=s) for s in span_ids]))
+        # the disk keys, sorted among the int-valued keys: "0" follows "/"
+        int_keys = families[0]
+        lo = bisect_left(int_keys, "disk/")
+        disk_keys = int_keys[lo:bisect_left(int_keys, "disk0", lo)]
+        return StateDatabase(intervals, counters, comms, t_min, t_max, events_consumed,
+                             markers, disk_keys)

@@ -388,6 +388,137 @@ def test_module_entry_point_runs(tmp_path):
     assert (tmp_path / "trace.jsonl").exists()
 
 
+# -- what a command loads, and the parser it builds -----------------------------
+
+# run as `python -c _COMMAND ARGV...`: main's exit code, and the last line
+# of stdout lists the waitgraph modules loaded
+_COMMAND = """
+import json, sys
+from waitgraph.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("waitgraph"))))
+sys.exit(code)
+"""
+
+
+def _fresh(*argv: str) -> list[str]:
+    """The waitgraph modules a command loads in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _COMMAND, *argv], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_graph_and_inspect_load_neither_analysis_nor_synth(small_lock_dir, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+    graph = ["graph", str(trace), "--span", "s0000", "--out", str(tmp_path / "g.dot")]
+    inspect = ["inspect", str(trace), "--out", str(tmp_path / "i.txt")]
+    loaded = ["waitgraph", "waitgraph.cli", "waitgraph.errors", "waitgraph.events",
+              "waitgraph.graph", "waitgraph.states"]
+    assert _fresh(*graph) == loaded  # folds and writes the sidecar
+    assert _sidecar(trace).exists()
+    assert _fresh(*graph) == _fresh(*inspect) == loaded  # restored
+
+
+def test_synth_cluster_and_compare_run_in_a_fresh_interpreter(tmp_path):
+    trace, report = tmp_path / "trace.jsonl", tmp_path / "report.json"
+    assert "waitgraph.synth" in _fresh("synth", "--scenario", "lock", "--seed", "7",
+                                       "--spans", "12", "--out-dir", str(tmp_path))
+    assert "waitgraph.analysis" in _fresh("cluster", str(trace), "--out", str(report))
+    assert "waitgraph.analysis" in _fresh(
+        "compare", str(trace), "--report", str(report), "--left", "0", "--right", "1",
+        "--stat", "duration", "--out", str(tmp_path / "diff.dot"))
+    assert (tmp_path / "diff.dot").read_text().startswith("digraph")
+
+
+# the names `import waitgraph` exports, as `from waitgraph import *` bound them
+# when the package imported every module up front
+_PUBLIC_NAMES = [
+    "BlockReason", "Clustering", "ComparisonGraph", "DepEdge", "DepGraph", "DepNode",
+    "EdgeStyle", "EmptyCluster", "EmptySpan", "EventKind", "ExecutionSpan",
+    "FEATURE_NAMES", "FeatureVector", "InputError", "InvalidParameter",
+    "MalformedRecord", "NestingViolation", "NonMonotonicTimestamp", "OverlappingSpan",
+    "RepresentativeGraph", "RootConflict", "ScenarioSpec", "SpanExtraction",
+    "StateDatabase", "StateKind", "StateValue", "SwitchConflict", "ThreadState",
+    "TooFewSpans", "TraceAnalysisError", "TraceEvent", "UnknownEventKind",
+    "UnmatchedEnd", "add_edge", "analysis", "build_depgraph", "build_span_graph",
+    "build_state_db", "canonicalize", "cluster_spans", "clustering_report_dict",
+    "compare", "comparison_to_dot", "comparison_to_json_dict", "errors", "events",
+    "extract_features", "extract_spans", "generate", "generate_files", "graph",
+    "iter_events", "iter_trace", "kmeans", "normalize_features",
+    "read_clustering_report", "read_trace", "representative", "states", "synth",
+    "to_dot", "to_json_dict", "write_trace",
+]
+
+# run in a fresh interpreter, where the analysis and synth names are not loaded
+_NAMES_CHECK = """
+import sys
+import waitgraph
+names = sys.argv[1:]
+assert "waitgraph.analysis" not in sys.modules and "waitgraph.synth" not in sys.modules
+assert sorted(waitgraph.__all__) == names, waitgraph.__all__
+assert set(names) <= set(dir(waitgraph))
+# first use by attribute, and by from-import
+assert waitgraph.kmeans is sys.modules["waitgraph.analysis"].kmeans
+from waitgraph import ScenarioSpec
+assert ScenarioSpec is sys.modules["waitgraph.synth"].ScenarioSpec
+for name in names:
+    bound = {}
+    exec(f"from waitgraph import {name}", bound)
+    assert bound[name] is getattr(waitgraph, name), name
+star = {}
+exec("from waitgraph import *", star)
+assert sorted(set(star) - {"__builtins__"}) == names
+try:
+    waitgraph.nope
+except AttributeError as exc:
+    assert "'nope'" in str(exc), exc
+else:
+    raise AssertionError("waitgraph.nope resolved")
+try:
+    from waitgraph import nope
+except ImportError as exc:
+    assert "'nope'" in str(exc), exc
+else:
+    raise AssertionError("from waitgraph import nope bound a name")
+"""
+
+
+def test_public_names_resolve_every_way():
+    proc = subprocess.run([sys.executable, "-c", _NAMES_CHECK, *_PUBLIC_NAMES],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+
+
+_PARSER_ARGV = [
+    ["--help"],
+    *([command, "--help"]
+      for command in ("synth", "graph", "cluster", "compare", "inspect")),
+    ["synth", "--scenario", "nope", "--out-dir", "x"],
+    ["compare", "t", "--report", "r", "--left", "0", "--right", "1", "--out", "o",
+     "--stat", "nope"],
+    ["graph", "t", "--out", "o"],
+    [], ["nope"], ["--", "graph", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_prints_what_an_eager_parser_prints(argv):
+    """main gives only the subcommand it runs its arguments; its help and
+    usage errors are byte for byte those of a parser that gives every
+    subcommand its arguments, in this interpreter's argparse."""
+    def parse(parse_args) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit:
+            parse_args(list(argv))
+        return exit.value.code, out.getvalue(), err.getvalue()
+    lazy = parse(main)
+    assert lazy == parse(cli.build_parser().parse_args)
+    assert lazy[1] or lazy[2]
+
+
 def test_singleton_cluster_representative_equals_canonical_graph(lock_dir):
     events = read_trace(lock_dir / "trace.jsonl")
     db = build_state_db(events)
@@ -818,6 +949,7 @@ def _assert_same_state(db, ref, markers) -> None:
             assert db.counter_steps(tid, counter) == ref.counter_steps(tid, counter)
     assert (db.t_min, db.t_max, db.events_consumed) == \
         (ref.t_min, ref.t_max, ref.events_consumed)
+    assert db.disk_keys == ref.disk_keys
     assert db.markers == ref.markers == markers
     assert extract_spans(db.markers) == extract_spans(markers)
 
@@ -834,11 +966,48 @@ def test_sidecar_restores_the_folded_state(tmp_path, monkeypatch, name):
     markers = [ev for ev in events
                if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)]
     ref = build_state_db(events)
+    if name.startswith("randtrace"):
+        assert len(ref.disk_keys) == 2
     folds = _count_folds(monkeypatch)
     _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
     assert _sidecar(trace).exists()
     _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
     assert len(folds) == 1
+
+
+def test_restored_markers_are_read_only_like_folded_ones(small_lock_dir, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
+    cold = cli._load_pipeline(str(trace))
+    warm = cli._load_pipeline(str(trace))
+    assert warm._intervals is not cold._intervals  # restored from the sidecar
+    assert cold.markers and warm.markers == cold.markers
+    for db in (cold, warm):
+        for ev in db.markers:
+            assert type(ev.payload) is type(cold.markers[0].payload)
+            with pytest.raises(TypeError):
+                ev.payload["span_id"] = "other"
+            with pytest.raises(TypeError):
+                ev.payload.update(span_id="other")
+    assert warm.markers == cold.markers
+
+
+def test_key_with_a_newline_writes_no_sidecar(tmp_path, monkeypatch):
+    # a device name may hold any character; the sidecar cannot name its key
+    trace = _jsonl(tmp_path, {"ts": 1, "kind": "span_begin", "span_id": "x"},
+                   {"ts": 2, "kind": "block_rq_issue", "dev": "sd\na"},
+                   {"ts": 3, "kind": "block_rq_complete", "dev": "sd\na"},
+                   {"ts": 4, "kind": "span_end", "span_id": "x"})
+    folds = _count_folds(monkeypatch)
+    outputs = [tmp_path / "x.json"]
+    for command in (["inspect", str(trace)],
+                    ["graph", str(trace), "--span", "x", "--out", str(tmp_path / "x.dot"),
+                     "--json", str(outputs[0])]):
+        cold = _run(command, outputs)
+        assert cold[0] == 0 and not _sidecar(trace).exists()
+        assert _run(command, outputs) == cold
+    assert "disk/sd\na/active_tid" in _run(["inspect", str(trace)], [])[1]
+    assert len(folds) == 5
 
 
 @pytest.mark.parametrize("command", ["graph", "cluster", "compare", "inspect"])
@@ -1026,25 +1195,82 @@ def _forge(edit):
     return forge
 
 
-def _value_index(index: dict) -> int:
-    """Where the blob's value indices start: after every start and end."""
-    return 2 * sum(index["intervals"][1])
+def _sections(index: dict, blob: array) -> dict[str, int]:
+    """Where sections of the blob start (see states._encode_state): after
+    t_min, t_max, events_consumed and the counters' numbers of tids."""
+    n_keys, n_markers = sum(map(len, index["keys"])), len(index["markers"][1])
+    comm_tids = 3 + len(COUNTERS)
+    rows = comm_tids + len(index["comms"])
+    counters = rows + n_keys
+    markers = counters + 2 * sum(blob[3:comm_tids])
+    starts = markers + 4 * n_markers
+    return {"comm_tids": comm_tids, "rows": rows, "counters": counters,
+            "kinds": markers + 3 * n_markers,
+            "value_index": starts + 2 * sum(blob[rows:counters])}
 
 
 def _set_value_index(value_of):
     def edit(index, blob):
-        blob[_value_index(index)] = value_of(index)
+        blob[_sections(index, blob)["value_index"]] = value_of(index)
     return edit
 
 
 def _longer_last_column(index, blob):
-    index["intervals"][1][-1] += 1
+    blob[_sections(index, blob)["counters"] - 1] += 1  # the last key's row count
 
 
 def _negative_length(index, blob):
-    rows = index["intervals"][1]
-    rows[1] += rows[0] + 1  # the total stays that of the blob
-    rows[0] = -1
+    rows = _sections(index, blob)["rows"]
+    blob[rows + 1] += blob[rows] + 1  # the total stays that of the blob
+    blob[rows] = -1
+
+
+def _pagefault_tids(*tids, steps: bool):
+    """An edit that gives the pagefaults counter, which the small lock trace
+    leaves empty, these tids with one row each, and that row's stamp and
+    total at the blob's end if steps."""
+    def edit(index, blob):
+        at = _sections(index, blob)["counters"]
+        assert blob[3] == 0 and COUNTERS[0] == "pagefaults"
+        blob[3] = len(tids)
+        blob[at:at] = array("q", [*tids, *[1] * len(tids)])
+        if steps:
+            blob.extend([1] * 2 * len(tids))
+    return edit
+
+
+def _set_blob(section: str, offset: int, value_of):
+    def edit(index, blob):
+        at = _sections(index, blob)[section] + offset
+        blob[at] = value_of(blob, at)
+    return edit
+
+
+def _negative_counter_size(index, blob):
+    """The first counter claims -1 tids, so its two cuts step back over the
+    last two key row counts, and the second claims the one tid and row
+    count those hold, whose steps go at the blob's end: every other
+    section stays where it was."""
+    assert blob[3:5].tolist() == [0, 0]
+    rows = blob[_sections(index, blob)["counters"] - 1]
+    blob[3:5] = array("q", [-1, 1])
+    blob.extend([1] * 2 * rows)
+
+
+def _swap_bounds(index, blob):
+    blob[0], blob[1] = blob[1], blob[0]
+
+
+def _key(family: int, i: int, key_of):
+    def edit(index, blob):
+        keys = index["keys"][family]
+        keys[i] = key_of(keys)
+    return edit
+
+
+def _keys_out_of_order(index, blob):
+    keys = index["keys"][0]
+    keys[0], keys[1] = keys[1], keys[0]
 
 
 def _truncated_to_odd_bytes(good: bytes) -> bytes:
@@ -1059,10 +1285,13 @@ def _index_not_json(good: bytes) -> bytes:
     return _forge_sidecar(fields, b"{not json\n", body)
 
 
+# Each case breaks one check of states._decode_state and keeps the body
+# otherwise valid.  The small lock trace's first int-valued key is
+# cpu/0/current_tid and its last thread/900/cpu; it has two syscall keys,
+# two comm tids, four markers and no counter steps.
 _FORGED_SIDECARS = {
     "interval_column_past_blob": _forge(_longer_last_column),
-    "counter_column_past_blob": _forge(
-        lambda index, blob: index["counters"].__setitem__("pagefaults", [[1], [1]])),
+    "counter_column_past_blob": _forge(_pagefault_tids(1, steps=False)),
     "negative_length": _forge(_negative_length),
     "value_index_negative": _forge(_set_value_index(lambda index: -1)),
     "value_index_past_table": _forge(_set_value_index(
@@ -1071,15 +1300,28 @@ _FORGED_SIDECARS = {
     "value_index_in_another_family": _forge(_set_value_index(
         lambda index: len(index["values"][0]))),
     "int_value_not_int": _forge(lambda index, blob: index["values"][0].__setitem__(0, "x")),
-    "key_in_another_family": _forge(
-        lambda index, blob: index["intervals"][0].__setitem__(0, "thread/1/state")),
-    "state_key_without_tid": _forge(
-        lambda index, blob: index["intervals"][0].__setitem__(-1, "thread/x/state")),
+    "key_in_another_family": _forge(_key(0, -1, lambda keys: "thread/900/syscall")),
+    "state_key_without_tid": _forge(_key(2, -1, lambda keys: "thread/x/state")),
     "blob_not_int64s": _truncated_to_odd_bytes,
     "index_not_json": _index_not_json,
-    "marker_kind": _forge(lambda index, blob: index["markers"][4].__setitem__(0, "page_fault")),
+    "marker_kind": _forge(_set_blob("kinds", 0, lambda blob, at: 2)),
     "thread_state": _forge(
         lambda index, blob: index["values"][2].append(["blocked", None, None])),
+    "marker_kind_negative": _forge(_set_blob("kinds", 0, lambda blob, at: -1)),
+    "marker_comm_missing": _forge(lambda index, blob: index["markers"][0].pop()),
+    "syscall_key_outside_thread": _forge(_key(1, 0, lambda keys: "proc" + keys[0][6:])),
+    "key_with_newline": _forge(_key(0, 0, lambda keys: f"{keys[0]}\n{keys[0]}")),
+    "keys_out_of_order": _forge(_keys_out_of_order),
+    "key_repeated": _forge(_key(0, 2, lambda keys: keys[1])),
+    "four_key_families": _forge(lambda index, blob: index["keys"].append([])),
+    "comm_tid_repeated": _forge(_set_blob("comm_tids", 1, lambda blob, at: blob[at - 1])),
+    "counter_tid_repeated": _forge(_pagefault_tids(1, 1, steps=True)),
+    "counter_size_negative": _forge(_negative_counter_size),
+    "bounds_reversed": _forge(_swap_bounds),
+    "blob_without_header": _forge(lambda index, blob: blob.__delitem__(slice(None))),
+    "key_not_str": _forge(_key(0, 0, lambda keys: 7)),
+    "comm_not_str": _forge(lambda index, blob: index["comms"].__setitem__(0, 7)),
+    "span_id_not_str": _forge(lambda index, blob: index["markers"][1].__setitem__(0, 7)),
 }
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from waitgraph import events as events_mod
 from waitgraph.errors import (
+    EmptySpan,
     InputError,
     MalformedRecord,
     NestingViolation,
@@ -31,6 +32,7 @@ from waitgraph.errors import (
 from waitgraph.events import (
     PAYLOAD_FIELDS,
     EventKind,
+    ExecutionSpan,
     OpenSpan,
     TraceEvent,
     event_to_record,
@@ -801,6 +803,21 @@ def test_interleaved_span_ids():
     got = extract_spans(events)
     assert [(s.span_id, s.root_tid, s.t_start, s.t_end) for s in got.spans] == \
         [("a", 5, 0, 20), ("b", 6, 10, 30)]
+
+
+def test_extracted_span_is_the_constructed_frozen_span():
+    span = extract_spans([_span_ev(0, 5, EventKind.SPAN_BEGIN, "a"),
+                          _span_ev(100, 5, EventKind.SPAN_END, "a")]).spans[0]
+    built = ExecutionSpan("a", 5, 0, 100)
+    assert type(span) is ExecutionSpan
+    assert span == built and hash(span) == hash(built) and repr(span) == repr(built)
+    assert vars(span) == vars(built) and span.duration_ns == 100
+    assert pickle.loads(pickle.dumps(span)) == built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        span.t_end = 200
+    with pytest.raises(EmptySpan, match=r"span 'b' ends at ts=7, not after its begin"):
+        extract_spans([_span_ev(7, 5, EventKind.SPAN_BEGIN, "b"),
+                       _span_ev(7, 5, EventKind.SPAN_END, "b")])
 
 
 def test_end_without_begin_raises():
