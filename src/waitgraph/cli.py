@@ -22,9 +22,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import events, graph, states
-from .errors import InputError, InvalidParameter, OverlappingSpan, TraceAnalysisError
-from .events import (atomic_output, atomic_write_text, extract_spans, iter_trace,
-                     json_text)
+from .errors import InputError, InvalidParameter, TraceAnalysisError
+from .events import atomic_output, atomic_write_text, iter_trace, json_text
 from .events import read_trace  # noqa: F401  (bench/test_bench.py looks it up here)
 
 EXIT_OK = 0
@@ -105,10 +104,11 @@ def _write_sidecar(path: Path, prefix: bytes, db) -> None:
 
 
 def _load_pipeline(trace_path: str):
-    """The trace's state DB, span markers included.  It comes from the
-    sidecar when that matches the trace bytes and this code; otherwise the
-    trace is folded in one streaming pass and, if the fold succeeds, the
-    sidecar is rewritten.  Non-regular files (pipes) are always folded."""
+    """The trace's state DB, its spans (or its span error) included.  It
+    comes from the sidecar when that matches the trace bytes and this code;
+    otherwise the trace is folded in one streaming pass and, if the fold
+    succeeds, the sidecar is rewritten, a span error and all.  Non-regular
+    files (pipes) are always folded."""
     sidecar = Path(trace_path + ".wgstate")
     with open(trace_path, "rb") as raw:
         prefix = None
@@ -122,19 +122,6 @@ def _load_pipeline(trace_path: str):
     if prefix is not None:
         _write_sidecar(sidecar, prefix, db)
     return db
-
-
-def _load_spans(trace_path: str):
-    """The trace's state DB (see _load_pipeline) and its completed spans by
-    id.  Raises OverlappingSpan when two completed spans share an id."""
-    db = _load_pipeline(trace_path)
-    spans = {}
-    for span in extract_spans(db.markers).spans:
-        first = spans.setdefault(span.span_id, span)
-        if first is not span:
-            raise OverlappingSpan(f"span {span.span_id!r} is used twice: it begins "
-                                  f"at ts={first.t_start} and at ts={span.t_start}")
-    return db, spans
 
 
 def cmd_synth(args) -> int:
@@ -153,8 +140,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    db, spans = _load_spans(args.trace)
-    span = spans.get(args.span)
+    db = _load_pipeline(args.trace)
+    span = db.spans().get(args.span)
     if span is None:
         raise _NotFound(f"span {args.span!r} not found in {args.trace}")
     g = graph.build_span_graph(db, span, max_depth=args.max_depth)
@@ -174,8 +161,8 @@ def cmd_graph(args) -> int:
 def cmd_cluster(args) -> int:
     from . import analysis
 
-    db, spans = _load_spans(args.trace)
-    feats = {sid: analysis.extract_features(db, s) for sid, s in spans.items()}
+    db = _load_pipeline(args.trace)
+    feats = {sid: analysis.extract_features(db, s) for sid, s in db.spans().items()}
     clustering = analysis.cluster_spans(feats, args.k, args.seed)
     report = analysis.clustering_report_dict(clustering, feats)
     atomic_write_text(args.out, json_text(report))
@@ -190,7 +177,8 @@ def cmd_cluster(args) -> int:
 def cmd_compare(args) -> int:
     from . import analysis
 
-    db, spans = _load_spans(args.trace)
+    db = _load_pipeline(args.trace)
+    spans = db.spans()
     by_cluster = analysis.read_clustering_report(args.report)
     reps = []
     for cluster_id in (args.left, args.right):

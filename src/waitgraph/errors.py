@@ -50,8 +50,8 @@ class UnmatchedEnd(InputError):
 
 
 class OverlappingSpan(InputError):
-    """A span begin delimiter re-opened a span id that is still open, or a
-    command that looks spans up by id found two completed spans sharing one."""
+    """A span begin delimiter re-opened a span id that is still open, or two
+    completed spans share one id (see StateDatabase.spans)."""
 
 
 class EmptySpan(InputError):

@@ -387,8 +387,8 @@ def read_trace(source) -> list[TraceEvent]:
     Each record is checked on its own (JSON, fields, kind, UTF-8) and
     against its predecessor's timestamp; MalformedRecord, UnknownEventKind
     and NonMonotonicTimestamp carry the offending 1-based line number.  A
-    gzip stream cut short or corrupt past its header is a MalformedRecord
-    at the line being read.
+    gzip stream cut short or corrupt is a MalformedRecord at the first
+    line not decoded whole.
     Entry/exit nesting is checked by the state-DB fold, not here.
 
     Events that are equal in a field share one object: one int per
@@ -604,6 +604,65 @@ def extract_spans(events: Iterable[TraceEvent]) -> SpanExtraction:
     return SpanExtraction(spans=done, open_spans=still_open)
 
 
+# compressed bytes read from a gzip trace at a time
+_GZIP_PIECE = 1 << 16
+
+
+class _Gunzip(io.RawIOBase):
+    """The data of a gzip stream, member after member, as GzipFile reads
+    it: zlib.decompressobj(wbits=31) checks each member's header and its
+    CRC32 and length trailer, and zero bytes may pad the stream after a
+    member.  Unlike GzipFile, a read that meets corrupt data first hands
+    over the whole lines decoded before it, replayed a byte at a time from
+    a copy of the decoder; the next read raises the zlib.error, so it is
+    met at the first line not decoded whole.  A stream cut short raises
+    EOFError.  Closing it leaves the file under it open."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self._inflate = zlib.decompressobj(31)
+        self._input = b""  # compressed bytes the decoder has not taken yet
+        self._error: zlib.error | None = None
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        while self._error is None:
+            inflate = self._inflate
+            if not self._input:
+                self._input = self._raw.read(_GZIP_PIECE)
+                if not self._input:
+                    if inflate.eof:
+                        return 0
+                    raise EOFError("Compressed file ended before the end-of-stream "
+                                   "marker was reached")
+            if inflate.eof:
+                self._input = self._input.lstrip(b"\0")
+                if not self._input:
+                    continue
+                inflate = self._inflate = zlib.decompressobj(31)
+            piece, before = self._input, inflate.copy()
+            try:
+                data = inflate.decompress(piece, len(buf))
+            except zlib.error as exc:
+                self._error = exc
+                data = []
+                try:
+                    for i in range(len(piece)):
+                        data.append(before.decompress(piece[i:i + 1]))
+                except zlib.error:
+                    pass
+                data = b"".join(data)
+                data = data[:data.rfind(b"\n") + 1]
+            else:
+                self._input = inflate.unconsumed_tail or inflate.unused_data
+            if data:
+                buf[:len(data)] = data
+                return len(data)
+        raise self._error
+
+
 def iter_trace(source) -> Iterator[TraceEvent]:
     """Streaming variant of read_trace (same record checks, constant memory).
 
@@ -638,7 +697,7 @@ def iter_trace(source) -> Iterator[TraceEvent]:
             raw = buffered = io.BufferedReader(raw)
         # look at the gzip magic without consuming it: a pipe cannot seek back
         if raw.peek(2)[:2] == b"\x1f\x8b":
-            raw = gzip.GzipFile(fileobj=raw)
+            raw = io.BufferedReader(_Gunzip(raw))
         stream = io.TextIOWrapper(raw, encoding="utf-8")
         prev_ts = -1
         parse = _parse_line
@@ -674,6 +733,7 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         bad_line = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
         raise MalformedRecord(bad_line, f"not UTF-8: {exc.reason}") from exc
     except (EOFError, zlib.error) as exc:
+        # the text layer has yielded every line the gzip layer decoded whole
         raise MalformedRecord(lineno + 1, f"gzip stream: {exc}") from exc
     finally:
         if opened is not None:

@@ -26,8 +26,8 @@ step timestamps (strictly increasing, all below t_max) and the running
 total from each step on.  ``counter_delta`` bisects them, and ``slices``
 lists them as intervals keyed thread/{tid}/{counter}.
 
-The fold also keeps the span_begin/span_end events, in trace order, as
-``StateDatabase.markers``: the input of ``events.extract_spans``.
+The fold also matches the span_begin/span_end events into the trace's
+completed spans by id, or its first span error, for ``StateDatabase.spans``.
 
 The CLI keeps a fold in a sidecar whose body ``_encode_state`` writes: a
 JSON index line and one int64 blob of every column.  ``_decode_state``
@@ -47,11 +47,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, pairwise, repeat
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import NestingViolation, SwitchConflict
-from .events import EventKind, TraceEvent, _gc_paused, _ReadOnlyPayload
+from .errors import (EmptySpan, NestingViolation, OverlappingSpan, SwitchConflict,
+                     UnmatchedEnd)
+from .events import (EventKind, ExecutionSpan, TraceEvent, _completed_span, _gc_paused,
+                     extract_spans)
 
 
 class StateKind(str, Enum):
@@ -156,6 +158,8 @@ _NO_INTERVALS: IntervalColumns = ([], [], [])
 # (step timestamps, cumulative totals) of one thread's counter
 CounterColumns = tuple[list[int], list[int]]
 _NO_STEPS: CounterColumns = ([], [])
+# a span error is kept as its class name and message
+_SPAN_ERRORS = {cls.__name__: cls for cls in (UnmatchedEnd, OverlappingSpan, EmptySpan)}
 
 # Linux softirq vector numbers for the wake-reason mapping.
 SOFTIRQ_TIMER = 1
@@ -193,16 +197,18 @@ def _clip(starts: list[int], ends: list[int], values: list,
 
 class StateDatabase:
     """Immutable interval store with point and range queries, and the
-    trace's span markers (``markers``, span_begin/span_end in trace order)."""
+    trace's completed spans (``spans``)."""
 
     def __init__(self, intervals: Mapping[str, IntervalColumns],
                  counters: dict[str, Mapping[int, CounterColumns]], comms: dict[int, str],
                  t_min: int, t_max: int, events_consumed: int,
-                 markers: list[TraceEvent], disk_keys: list[str]):
+                 spans: dict[str, ExecutionSpan], span_error: list[str] | None,
+                 disk_keys: list[str]):
         self._intervals = intervals
         self._counters = counters
         self.disk_keys = disk_keys  # the disk/{dev}/active_tid keys, sorted
-        self.markers = markers
+        self._spans = spans  # empty when there is a span error
+        self._span_error = span_error
         self.comms = comms
         self.t_min = t_min
         self.t_max = t_max
@@ -210,6 +216,14 @@ class StateDatabase:
 
     def keys(self) -> list[str]:
         return sorted(self._intervals)
+
+    def spans(self) -> dict[str, ExecutionSpan]:
+        """A fresh dict of the trace's completed spans by id, in begin
+        order; raises the trace's first span error instead, if it has one."""
+        if self._span_error is not None:
+            name, message = self._span_error
+            raise _SPAN_ERRORS[name](message)
+        return dict(self._spans)
 
     def intervals(self, key: str) -> list[StateValue]:
         """A fresh list of the key's intervals, sorted by start."""
@@ -494,7 +508,7 @@ class _Builder:
 
     def _on_marker(self, ev: TraceEvent) -> None:
         self.mark_running(ev.tid, ev.cpu, ev.ts)
-        self.markers.append(ev)  # no state of their own
+        self.markers.append(ev)  # no state of their own: finish matches them
 
     def finish(self, count: int, t_min: int, end: int) -> StateDatabase:
         """The database of count events, the first at t_min and the last at
@@ -519,7 +533,23 @@ class _Builder:
         disk_keys = sorted(k for k in map(disk_active_key, self.active_tid)
                            if k in intervals)
         return StateDatabase(intervals, self.counters, self.comms, t_min, end, count,
-                             self.markers, disk_keys)
+                             *_span_table(self.markers), disk_keys)
+
+
+def _span_table(markers: list[TraceEvent]) -> tuple[dict, list[str] | None]:
+    """The completed spans of the markers by id, in begin order, and None;
+    or none and the first span error as [class name, message]: the one
+    extract_spans raises, else OverlappingSpan for an id two spans share."""
+    spans: dict[str, ExecutionSpan] = {}
+    try:
+        for span in extract_spans(markers).spans:
+            first = spans.setdefault(span.span_id, span)
+            if first is not span:
+                raise OverlappingSpan(f"span {span.span_id!r} is used twice: it begins "
+                                      f"at ts={first.t_start} and at ts={span.t_start}")
+    except (UnmatchedEnd, OverlappingSpan, EmptySpan) as exc:
+        return {}, [type(exc).__name__, str(exc)]
+    return spans, None
 
 
 def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
@@ -539,7 +569,8 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
         disk/{dev}/active_tid service intervals.
       - page_fault / io_read / io_write: cumulative step-function counters,
         stored as per-thread columns (StateDatabase.counter_steps).
-      - span_begin / span_end: kept, in order, as StateDatabase.markers.
+      - span_begin / span_end: matched into the completed spans by id
+        (StateDatabase.spans, which raises a span error the fold keeps).
 
     This fold is the one nesting check: NestingViolation (naming ts=) for
     an exit that does not match the innermost open entry of its family,
@@ -567,18 +598,17 @@ def build_state_db(events: Iterable[TraceEvent]) -> StateDatabase:
 # families, each sorted: the int-valued keys (a tid or a CPU), then
 # thread/{tid}/syscall (a name), then thread/{tid}/state (a ThreadState,
 # stored as a [kind, reason, waker_tid] list); the table of distinct
-# interval values, by family in the same order; the comms; and the span
-# markers' comms and span ids.  The blob is little-endian int64, in
-# sections: t_min, t_max, events_consumed and each counter's number of
-# tids; the comms' tids; each key's row count; per counter its tids, then
-# each tid's row count; the markers' ts, then their cpu, tid and kind (an
-# index into _MARKER_KINDS); every key's starts, then every key's ends,
-# then every key's index into the value table; and per counter every
-# tid's stamps, then every tid's totals.
+# interval values, by family in the same order; the comms; the span ids,
+# in begin order; and the span error, null or [class name, message].  The
+# blob is little-endian int64, in sections: t_min, t_max, events_consumed
+# and each counter's number of tids; the comms' tids; each key's row
+# count; per counter its tids, then each tid's row count; the spans' root
+# tids, then their starts, then their ends; every key's starts, then every
+# key's ends, then every key's index into the value table; and per counter
+# every tid's stamps, then every tid's totals.
 
 # True on a big-endian host, whose arrays swap to and from the blob's order
 _SWAP = array("q", [1]).tobytes()[0] != 1
-_MARKER_KINDS = (EventKind.SPAN_BEGIN, EventKind.SPAN_END)
 _HEADER = 3 + len(COUNTERS)
 # a family's keys with a "\n" after each; the int-valued keys are
 # thread/{tid}/cpu, cpu/{n}/current_tid and disk/{dev}/active_tid
@@ -641,11 +671,11 @@ class _Columns(Mapping):
 
 
 def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
-    """A database, span markers included, as a sidecar body: the index
-    line and the blob (see above), to be written one after the other.
-    Raises OverflowError when a bound, marker field, start, end, stamp or
-    total does not fit in int64, and ValueError for a key that holds a
-    newline, which the decoder refuses."""
+    """A database, spans included, as a sidecar body: the index line and
+    the blob (see above), to be written one after the other.  Raises
+    OverflowError when a bound, span field, start, end, stamp or total
+    does not fit in int64, and ValueError for a key that holds a newline,
+    which the decoder refuses."""
     families: tuple[list[str], list[str], list[str]] = ([], [], [])
     for key in sorted(db._intervals):
         if "\n" in key:
@@ -653,7 +683,7 @@ def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
         families[key.endswith("/syscall") + 2 * key.endswith("/state")].append(key)
     keys = [key for family in families for key in family]
     counters = [db._counters[c] for c in COUNTERS]
-    markers = db.markers
+    spans = db._spans.values()
     # the keys run family by family, so the table does too
     table: dict[object, int] = {}
     blob = array("q", [db.t_min, db.t_max, db.events_consumed, *map(len, counters)])
@@ -663,9 +693,8 @@ def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
         for columns in counters:
             blob.extend(columns)
             blob.extend([len(stamps) for stamps, _ in columns.values()])
-        for field in ("ts", "cpu", "tid"):
-            blob.extend(map(attrgetter(field), markers))
-        blob.extend([_MARKER_KINDS.index(ev.kind) for ev in markers])
+        for field in ("root_tid", "t_start", "t_end"):
+            blob.extend(map(attrgetter(field), spans))
         for col in (0, 1):
             for key in keys:
                 blob.extend(db._intervals[key][col])
@@ -683,8 +712,8 @@ def _encode_state(db: StateDatabase) -> tuple[bytes, array]:
         index = json.dumps({
             "comms": list(db.comms.values()),
             "keys": families,
-            "markers": [[ev.comm for ev in markers],
-                        [ev.payload["span_id"] for ev in markers]],
+            "span_error": db._span_error,
+            "spans": list(db._spans),
             "values": [values[:sizes[0]], values[sizes[0]:sizes[0] + sizes[1]],
                        values[sizes[0] + sizes[1]:]],
         }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
@@ -716,12 +745,13 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
     as int64s.  The whole body is checked here, so that every value a query
     returns has the type the fold gives its key: the type of every index
     field, each family's keys (named for the family, sorted, no newline),
-    the value table by family, t_min <= t_max, distinct tids, markers of
-    the two marker kinds, row counts that are positive and add up to the
-    blob, and each key's value indices inside its family's part of the
-    table.  Each check is one pass over a column or a family, not a step
-    per key.  Raises ValueError, TypeError or LookupError for a body that
-    fails a check."""
+    the value table by family, t_min <= t_max, distinct tids and span ids,
+    spans that end after they start, a span error of a known class and no
+    span with it, row counts that are positive and add up to the blob, and
+    each key's value indices inside its family's part of the table.  Each
+    check is one pass over a column or a family, not a step per key.
+    Raises ValueError, TypeError or LookupError for a body that fails a
+    check."""
     if _SWAP:
         blob.byteswap()
     with _gc_paused():
@@ -740,12 +770,14 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
         ints, names, states = family_values
         table = [*_typed(ints, int), *_typed(names, str), *map(_thread_state, states)]
         comm_names = _typed(obj["comms"], str)
-        marker_comms, span_ids = obj["markers"]
-        n_markers = len(_typed(span_ids, str))
+        span_ids, span_error = _typed(obj["spans"], str), obj["span_error"]
+        if span_error is not None:
+            name, _ = _typed(span_error, str)
+            if name not in _SPAN_ERRORS or span_ids:
+                raise ValueError("an unknown span error, or one with spans")
         t_min, t_max, events_consumed, *n_tids = blob[:_HEADER].tolist()
-        if t_min > t_max or min(n_tids) < 0 \
-                or len(_typed(marker_comms, str)) != n_markers:
-            raise ValueError("bad bounds, counter sizes or markers")
+        if t_min > t_max or min(n_tids) < 0:
+            raise ValueError("bad bounds or counter sizes")
         at = _HEADER
 
         def cut(n: int) -> list[int]:
@@ -757,10 +789,10 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
         comms = dict(zip(cut(len(comm_names)), comm_names))
         rows = cut(len(keys))
         counter_keys = [(cut(n), cut(n)) for n in n_tids]  # (tids, row counts)
-        ts, cpus, tids, kinds = [cut(n_markers) for _ in range(4)]
-        if len(comms) != len(comm_names) \
-                or (kinds and not 0 <= min(kinds) <= max(kinds) <= 1):
-            raise ValueError("a repeated comm tid, or a marker of another kind")
+        root_tids, t_starts, t_ends = [cut(len(span_ids)) for _ in range(3)]
+        if len(comms) != len(comm_names) or len(set(span_ids)) != len(span_ids) \
+                or not all(map(lt, t_starts, t_ends)):
+            raise ValueError("a repeated comm tid or span id, or an empty span")
         n = sum(rows)
         intervals = _Columns(blob, at, keys, rows, 3, table)
         counters = {}
@@ -779,12 +811,12 @@ def _decode_state(index: bytes, blob: array) -> StateDatabase:
             value_index = set(blob[a:b])  # a few distinct values, many rows
             if value_index and not (lo <= min(value_index) and max(value_index) < hi):
                 raise ValueError("a value index is outside its family's table")
-        markers = list(map(TraceEvent, ts, cpus, tids, marker_comms,
-                           map(_MARKER_KINDS.__getitem__, kinds),
-                           [_ReadOnlyPayload(span_id=s) for s in span_ids]))
+        # checked above to end after they start, so none raises EmptySpan
+        spans = dict(zip(span_ids, map(_completed_span, span_ids, root_tids, t_starts,
+                                       t_ends)))
         # the disk keys, sorted among the int-valued keys: "0" follows "/"
         int_keys = families[0]
         lo = bisect_left(int_keys, "disk/")
         disk_keys = int_keys[lo:bisect_left(int_keys, "disk0", lo)]
         return StateDatabase(intervals, counters, comms, t_min, t_max, events_consumed,
-                             markers, disk_keys)
+                             spans, span_error, disk_keys)

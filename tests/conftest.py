@@ -79,3 +79,16 @@ def damaged_gzips(packed: bytes) -> dict[str, bytes]:
         raise AssertionError("no byte flip of the stream fails in zlib")
     return {"cut": packed[:len(packed) // 2], "flipped": bytes(flipped),
             "magic": packed[:2]}
+
+
+def zlib_whole_lines(packed: bytes) -> bytes:
+    """The whole lines that zlib, fed one byte at a time, decodes from a
+    gzip stream before it raises or the stream ends."""
+    inflate, data = zlib.decompressobj(31), []
+    try:
+        for i in range(len(packed)):
+            data.append(inflate.decompress(packed[i:i + 1]))
+    except zlib.error:
+        pass
+    data = b"".join(data)
+    return data[:data.rfind(b"\n") + 1]

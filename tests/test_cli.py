@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+import zlib
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,10 +25,10 @@ from waitgraph.analysis import extract_features, representative
 from waitgraph.cli import main
 from waitgraph.graph import build_span_graph, canonicalize
 from waitgraph.states import COUNTERS, build_state_db
-from waitgraph.events import (EventKind, atomic_output, extract_spans, read_trace,
-                              write_trace)
+from waitgraph.events import (EventKind, atomic_output, extract_spans, iter_trace,
+                              read_trace, write_trace)
 from waitgraph.synth import ScenarioSpec, generate
-from conftest import SRC, damaged_gzips
+from conftest import SRC, damaged_gzips, zlib_whole_lines
 from oracles import counter_lines_by_scan
 from randtrace import random_trace
 
@@ -843,6 +844,36 @@ def test_damaged_gzip_trace_exits_2_and_writes_no_sidecar(tmp_path, capsys, comm
     assert not (tmp_path / "trace.jsonl.gz.wgstate").exists()
 
 
+@pytest.mark.parametrize("start", [200, 400, 1000])
+def test_gzip_corrupt_mid_stream_names_the_first_line_not_decoded_whole(tmp_path, capsys,
+                                                                        start):
+    assert main(["synth", "--scenario", "lock", "--seed", "1", "--spans", "4", "--gz",
+                 "--out-dir", str(tmp_path)]) == 0
+    trace = tmp_path / "trace.jsonl.gz"
+    packed = bytearray(trace.read_bytes())
+    for i in range(start, start + 50):
+        packed[i] ^= 0xFF
+    trace.write_bytes(packed)
+    with pytest.raises(zlib.error):
+        zlib.decompress(packed, 31)
+    whole = zlib_whole_lines(bytes(packed))
+    n_whole = whole.count(b"\n")
+    assert n_whole >= 3
+    # the lines decoded whole fail as they would in a plain trace; if
+    # they pass, the next line fails on the gzip stream
+    try:
+        build_state_db(iter_trace(whole))
+        expected = f"line {n_whole + 1}: gzip stream: "
+    except errors.InputError as exc:
+        expected = f"{exc}\n"
+    capsys.readouterr()
+    out = tmp_path / "x.dot"
+    err = _exits_2(["graph", str(trace), "--span", "s0000", "--out", str(out)], capsys)
+    assert err.startswith(f"error: {expected}")
+    assert not out.exists()
+    assert not _sidecar(trace).exists()
+
+
 def test_synth_spans_too_short_for_the_plan_exit_2_and_write_nothing(tmp_path, capsys):
     # the fast lock span would exit its syscall before entering it
     err = _exits_2(["synth", "--scenario", "lock", "--fast-us", "1", "--filler-events",
@@ -938,8 +969,9 @@ def _run(argv: list[str], outputs: list[Path]) -> tuple:
         [path.read_bytes() if path.exists() else None for path in outputs]
 
 
-def _assert_same_state(db, ref, markers) -> None:
-    """db holds the state of ref, and both hold the trace's span markers."""
+def _assert_same_state(db, ref, events) -> None:
+    """db holds the state of ref, and both hold the completed spans that
+    extract_spans finds in events, by id in begin order."""
     assert db.keys() == ref.keys()
     for key in ref.keys():
         assert db.intervals(key) == ref.intervals(key), key
@@ -950,8 +982,11 @@ def _assert_same_state(db, ref, markers) -> None:
     assert (db.t_min, db.t_max, db.events_consumed) == \
         (ref.t_min, ref.t_max, ref.events_consumed)
     assert db.disk_keys == ref.disk_keys
-    assert db.markers == ref.markers == markers
-    assert extract_spans(db.markers) == extract_spans(markers)
+    completed = extract_spans(events).spans
+    spans = {span.span_id: span for span in completed}
+    assert len(spans) == len(completed)  # no id is reused
+    assert db.spans() == ref.spans() == spans
+    assert list(db.spans()) == list(ref.spans()) == list(spans)
 
 
 @pytest.mark.parametrize("name", ["lock", "disk", "cpu", "mixed",
@@ -963,33 +998,14 @@ def test_sidecar_restores_the_folded_state(tmp_path, monkeypatch, name):
         events = generate(ScenarioSpec(name, seed=5, n_spans=12))[0]
     trace = tmp_path / "trace.jsonl"
     write_trace(events, trace)
-    markers = [ev for ev in events
-               if ev.kind in (EventKind.SPAN_BEGIN, EventKind.SPAN_END)]
     ref = build_state_db(events)
     if name.startswith("randtrace"):
         assert len(ref.disk_keys) == 2
     folds = _count_folds(monkeypatch)
-    _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
+    _assert_same_state(cli._load_pipeline(str(trace)), ref, events)
     assert _sidecar(trace).exists()
-    _assert_same_state(cli._load_pipeline(str(trace)), ref, markers)
+    _assert_same_state(cli._load_pipeline(str(trace)), ref, events)
     assert len(folds) == 1
-
-
-def test_restored_markers_are_read_only_like_folded_ones(small_lock_dir, tmp_path):
-    trace = tmp_path / "trace.jsonl"
-    trace.write_bytes((small_lock_dir / "trace.jsonl").read_bytes())
-    cold = cli._load_pipeline(str(trace))
-    warm = cli._load_pipeline(str(trace))
-    assert warm._intervals is not cold._intervals  # restored from the sidecar
-    assert cold.markers and warm.markers == cold.markers
-    for db in (cold, warm):
-        for ev in db.markers:
-            assert type(ev.payload) is type(cold.markers[0].payload)
-            with pytest.raises(TypeError):
-                ev.payload["span_id"] = "other"
-            with pytest.raises(TypeError):
-                ev.payload.update(span_id="other")
-    assert warm.markers == cold.markers
 
 
 def test_key_with_a_newline_writes_no_sidecar(tmp_path, monkeypatch):
@@ -1059,18 +1075,47 @@ def test_sidecar_invalidated_by_rewriting_the_trace_in_place(small_lock_dir, tmp
     assert _sidecar(trace).read_bytes() == _sidecar(fresh).read_bytes()
 
 
-def test_orphan_span_end_is_cached_but_still_fails_graph(tmp_path, monkeypatch):
+# span markers as (kind, span id, ts), and the span error they make
+_SPAN_ERROR_TRACES = {
+    "orphan_end": ([("end", "x", 2)],
+                   errors.UnmatchedEnd, "span 'x' ended at ts=2 with no begin"),
+    "reopened": ([("begin", "x", 2), ("begin", "x", 3), ("end", "x", 4)],
+                 errors.OverlappingSpan, "span 'x' re-opened at ts=3"),
+    "reused": ([("begin", "x", 2), ("end", "x", 3), ("begin", "x", 4), ("end", "x", 5)],
+               errors.OverlappingSpan,
+               "span 'x' is used twice: it begins at ts=2 and at ts=4"),
+    "zero_length": ([("begin", "x", 2), ("end", "x", 2)],
+                    errors.EmptySpan, "span 'x' ends at ts=2, not after its begin at ts=2"),
+    # every marker is matched before ids are compared, wherever the reuse is
+    "bad_marker_before_duplicate": (
+        [("begin", "x", 2), ("end", "x", 2), ("begin", "y", 3), ("end", "y", 4),
+         ("begin", "y", 5), ("end", "y", 6)],
+        errors.EmptySpan, "span 'x' ends at ts=2, not after its begin at ts=2"),
+    "duplicate_before_bad_marker": (
+        [("begin", "y", 2), ("end", "y", 3), ("begin", "y", 4), ("end", "y", 5),
+         ("end", "x", 6)],
+        errors.UnmatchedEnd, "span 'x' ended at ts=6 with no begin"),
+}
+
+
+@pytest.mark.parametrize("case", _SPAN_ERROR_TRACES)
+def test_span_error_is_cached_but_still_fails_graph(tmp_path, monkeypatch, case):
+    markers, error, message = _SPAN_ERROR_TRACES[case]
     trace = _jsonl(tmp_path, {"ts": 1, "kind": "page_fault"},
-                   {"ts": 2, "kind": "span_end", "span_id": "x"},
-                   {"ts": 3, "kind": "page_fault"})
+                   *({"ts": ts, "kind": f"span_{kind}", "span_id": sid}
+                     for kind, sid, ts in markers),
+                   {"ts": 9, "kind": "page_fault"})
+    with pytest.raises(error, match=re.escape(message)):
+        build_state_db(read_trace(trace)).spans()
     folds = _count_folds(monkeypatch)
     graph = ["graph", str(trace), "--span", "x", "--out", str(tmp_path / "x.dot")]
     cold = _run(graph, [])
-    assert cold[0] == 2 and "span 'x' ended at ts=2 with no begin" in cold[2]
-    assert _sidecar(trace).exists()
+    assert cold[0] == 2 and cold[2] == f"error: {message}\n"
+    written = _sidecar(trace).stat()
     assert _run(graph, []) == cold
+    assert _sidecar(trace).stat().st_ino == written.st_ino  # not rewritten
     inspect = _run(["inspect", str(trace)], [])
-    assert inspect[0] == 0 and "thread/1/state\t[1, 3)\trunning\n" in inspect[1]
+    assert inspect[0] == 0 and "thread/1/state\t[1, 9)\trunning\n" in inspect[1]
     assert len(folds) == 1
     _sidecar(trace).unlink()
     assert _run(["inspect", str(trace)], []) == inspect
@@ -1198,14 +1243,13 @@ def _forge(edit):
 def _sections(index: dict, blob: array) -> dict[str, int]:
     """Where sections of the blob start (see states._encode_state): after
     t_min, t_max, events_consumed and the counters' numbers of tids."""
-    n_keys, n_markers = sum(map(len, index["keys"])), len(index["markers"][1])
+    n_keys = sum(map(len, index["keys"]))
     comm_tids = 3 + len(COUNTERS)
     rows = comm_tids + len(index["comms"])
     counters = rows + n_keys
-    markers = counters + 2 * sum(blob[3:comm_tids])
-    starts = markers + 4 * n_markers
-    return {"comm_tids": comm_tids, "rows": rows, "counters": counters,
-            "kinds": markers + 3 * n_markers,
+    spans = counters + 2 * sum(blob[3:comm_tids])
+    starts = spans + 3 * len(index["spans"])
+    return {"comm_tids": comm_tids, "rows": rows, "counters": counters, "spans": spans,
             "value_index": starts + 2 * sum(blob[rows:counters])}
 
 
@@ -1257,6 +1301,21 @@ def _negative_counter_size(index, blob):
     blob.extend([1] * 2 * rows)
 
 
+def _empty_first_span(index, blob):
+    at, n = _sections(index, blob)["spans"], len(index["spans"])
+    blob[at + 2 * n] = blob[at + n]  # its end is its start
+
+
+def _span_error(name: str):
+    """An edit that drops every span and stores a span error of class name."""
+    def edit(index, blob):
+        at = _sections(index, blob)["spans"]
+        del blob[at:at + 3 * len(index["spans"])]
+        index["spans"] = []
+        index["span_error"] = [name, "span 'x' ended at ts=2 with no begin"]
+    return edit
+
+
 def _swap_bounds(index, blob):
     blob[0], blob[1] = blob[1], blob[0]
 
@@ -1288,7 +1347,7 @@ def _index_not_json(good: bytes) -> bytes:
 # Each case breaks one check of states._decode_state and keeps the body
 # otherwise valid.  The small lock trace's first int-valued key is
 # cpu/0/current_tid and its last thread/900/cpu; it has two syscall keys,
-# two comm tids, four markers and no counter steps.
+# two comm tids, two spans and no counter steps.
 _FORGED_SIDECARS = {
     "interval_column_past_blob": _forge(_longer_last_column),
     "counter_column_past_blob": _forge(_pagefault_tids(1, steps=False)),
@@ -1304,11 +1363,8 @@ _FORGED_SIDECARS = {
     "state_key_without_tid": _forge(_key(2, -1, lambda keys: "thread/x/state")),
     "blob_not_int64s": _truncated_to_odd_bytes,
     "index_not_json": _index_not_json,
-    "marker_kind": _forge(_set_blob("kinds", 0, lambda blob, at: 2)),
     "thread_state": _forge(
         lambda index, blob: index["values"][2].append(["blocked", None, None])),
-    "marker_kind_negative": _forge(_set_blob("kinds", 0, lambda blob, at: -1)),
-    "marker_comm_missing": _forge(lambda index, blob: index["markers"][0].pop()),
     "syscall_key_outside_thread": _forge(_key(1, 0, lambda keys: "proc" + keys[0][6:])),
     "key_with_newline": _forge(_key(0, 0, lambda keys: f"{keys[0]}\n{keys[0]}")),
     "keys_out_of_order": _forge(_keys_out_of_order),
@@ -1321,7 +1377,16 @@ _FORGED_SIDECARS = {
     "blob_without_header": _forge(lambda index, blob: blob.__delitem__(slice(None))),
     "key_not_str": _forge(_key(0, 0, lambda keys: 7)),
     "comm_not_str": _forge(lambda index, blob: index["comms"].__setitem__(0, 7)),
-    "span_id_not_str": _forge(lambda index, blob: index["markers"][1].__setitem__(0, 7)),
+    "span_id_not_str": _forge(lambda index, blob: index["spans"].__setitem__(0, 7)),
+    "span_id_repeated": _forge(lambda index, blob: index["spans"].__setitem__(
+        1, index["spans"][0])),
+    "span_empty": _forge(_empty_first_span),
+    # _span_error("UnmatchedEnd") is a valid body
+    "span_error_unknown_class": _forge(_span_error("KeyError")),
+    "span_error_with_spans": _forge(lambda index, blob: index.__setitem__(
+        "span_error", ["UnmatchedEnd", "span 'x' ended at ts=2 with no begin"])),
+    "span_column_cut_short": _forge(lambda index, blob: blob.__delitem__(
+        _sections(index, blob)["spans"] + 3 * len(index["spans"]) - 1)),
 }
 
 
