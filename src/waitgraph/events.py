@@ -14,12 +14,13 @@ extra keys are ignored on read.  All durations inside the package are
 integer nanoseconds; user-facing output is microseconds.
 
 A line of any kind exactly as write_trace writes it is decoded by
-regular expressions instead of the JSON scanner: one pattern for the
-head every line has, then the kind's payload pattern, generated from
+regular expressions instead of json.loads: one pattern for the head
+every line has, then the kind's payload pattern, generated from
 PAYLOAD_FIELDS, for the rest.  Every other line goes through the JSON
-path.  Both give the same record, so the choice changes no event and no
-error.  Events of one read share their equal ints and payloads, and a
-payload read is read-only (see iter_trace).
+path, json.loads and then the record checks.  Both give the same record,
+so the choice changes no event and no error.  Events of one read share
+their equal ints and payloads, and a payload read is read-only (see
+iter_trace).
 
 write_trace writes each line as json.dumps would write event_to_record's
 dict, but fills a prebuilt template per kind: ints through str, and each
@@ -134,9 +135,6 @@ PAYLOAD_FIELDS: dict[EventKind, tuple[tuple[str, Callable[[object], bool]], ...]
 }
 
 _KIND_BY_VALUE = {k.value: k for k in EventKind}
-
-# the C scanner json.loads itself runs, called without its wrapper
-_scan_once = json.JSONDecoder().scan_once
 
 # The canonical line language: the JSON text write_trace gives each value.
 # A number is a JSON integer of at most 18 digits (no sign, no leading
@@ -322,25 +320,15 @@ def _parse_line(line: str, lineno: int, ints: _SharedInts,
                 payloads: dict) -> TraceEvent:
     """The event of a line that passes every record check, its ints and
     payload taken from the sharing tables of iter_trace."""
-    # Fast path: the scanner's value counts only when it ends exactly at the
-    # line's newline.  Anything else (a decode error, leading whitespace or
-    # BOM, trailing data or blanks, no final newline) goes through json.loads,
-    # so every accepted record and every error is json.loads's own.
     try:
-        obj, end = _scan_once(line, 0)
-        exact = line[end:] == "\n"
-    except (StopIteration, ValueError, RecursionError):
-        exact = False
-    if not exact:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # past int's string-conversion digit limit
-            raise MalformedRecord(lineno,
-                                  "invalid JSON: integer has too many digits") from exc
-        except RecursionError as exc:
-            raise MalformedRecord(lineno, "invalid JSON: nested too deeply") from exc
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # past int's string-conversion digit limit
+        raise MalformedRecord(lineno,
+                              "invalid JSON: integer has too many digits") from exc
+    except RecursionError as exc:
+        raise MalformedRecord(lineno, "invalid JSON: nested too deeply") from exc
     if type(obj) is not dict:
         raise MalformedRecord(lineno, "record is not a JSON object")
     # hot path: grab and type-check the required fields without indirection
@@ -372,10 +360,7 @@ def _parse_line(line: str, lineno: int, ints: _SharedInts,
         fields[key] = sys.intern(value) if type(value) is str else ints[value]
     if kind is EventKind.SCHED_SWITCH and fields["prev_tid"] == fields["next_tid"]:
         raise MalformedRecord(lineno, "sched_switch: prev_tid == next_tid")
-    kind_values = (kind, *fields.values())
-    payload = payloads.get(kind_values)
-    if payload is None:
-        payload = _share_payload(kind_values, fields, payloads)
+    payload = _share_payload((kind, *fields.values()), fields, payloads)
     return TraceEvent(ts, ints[cpu], ints[tid], sys.intern(comm), kind, payload)
 
 
@@ -616,7 +601,7 @@ class _Gunzip(io.RawIOBase):
     over the whole lines decoded before it, replayed a byte at a time from
     a copy of the decoder; the next read raises the zlib.error, so it is
     met at the first line not decoded whole.  A stream cut short raises
-    EOFError.  Closing it leaves the file under it open."""
+    EOFError.  Closing it closes the file under it."""
 
     def __init__(self, raw):
         self._raw = raw
@@ -662,6 +647,24 @@ class _Gunzip(io.RawIOBase):
                 return len(data)
         raise self._error
 
+    def close(self) -> None:
+        super().close()
+        self._raw.close()
+
+
+class _Borrowed(io.RawIOBase):
+    """A caller's binary file, read through its readinto.  Closing it leaves
+    the caller's file open: the caller closes that."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        return self._fh.readinto(buf)
+
 
 def iter_trace(source) -> Iterator[TraceEvent]:
     """Streaming variant of read_trace (same record checks, constant memory).
@@ -683,22 +686,24 @@ def iter_trace(source) -> Iterator[TraceEvent]:
     caller builds keep the dicts the caller gave them.
 
     A file object passed in stays open; the caller closes it.  It is read
-    forward only, so it may be a pipe."""
-    opened = buffered = stream = None
+    forward only, so it may be a pipe.  The reader stacks its layers on the
+    source (a buffer, a gzip layer if the magic says so, the text layer),
+    and each layer closes the one under it, so closing the outermost closes
+    every layer the reader built and leaves a caller's file open."""
+    outer = None  # the outermost layer built so far
     lineno = 0
     try:
         if isinstance(source, (str, Path)):
-            raw = opened = open(source, "rb")
+            outer = open(source, "rb", buffering=0)
         elif isinstance(source, (bytes, bytearray)):
-            raw = opened = io.BytesIO(bytes(source))
+            outer = io.BytesIO(bytes(source))
         else:
-            raw = source
-        if not hasattr(raw, "peek"):
-            raw = buffered = io.BufferedReader(raw)
+            outer = _Borrowed(source)
+        outer = io.BufferedReader(outer)
         # look at the gzip magic without consuming it: a pipe cannot seek back
-        if raw.peek(2)[:2] == b"\x1f\x8b":
-            raw = io.BufferedReader(_Gunzip(raw))
-        stream = io.TextIOWrapper(raw, encoding="utf-8")
+        if outer.peek(2)[:2] == b"\x1f\x8b":
+            outer = io.BufferedReader(_Gunzip(outer))
+        outer = io.TextIOWrapper(outer, encoding="utf-8")
         prev_ts = -1
         parse = _parse_line
         match = _match_line
@@ -709,7 +714,7 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         # values shares; a canonical line's tail -> its kind and payload
         payloads: dict[tuple, _ReadOnlyPayload] = {}
         tails: dict[str, tuple[EventKind, _ReadOnlyPayload]] = {}
-        for lineno, line in enumerate(stream, start=1):
+        for lineno, line in enumerate(outer, start=1):
             m = match(line)
             read = None
             if m is not None:
@@ -736,17 +741,5 @@ def iter_trace(source) -> Iterator[TraceEvent]:
         # the text layer has yielded every line the gzip layer decoded whole
         raise MalformedRecord(lineno + 1, f"gzip stream: {exc}") from exc
     finally:
-        if opened is not None:
-            if stream is not None:
-                stream.close()  # a gzip layer leaves the file under it open
-            opened.close()
-        else:
-            # unhook the caller's file from the wrappers, which would close
-            # it when collected, unless the caller has closed it already; a
-            # gzip layer over it closes without it
-            if stream is not None and not stream.closed:
-                inner = stream.detach()
-                if inner is not source and inner is not buffered:
-                    inner.close()
-            if buffered is not None and not buffered.closed:
-                buffered.detach()
+        if outer is not None:
+            outer.close()

@@ -251,6 +251,79 @@ def test_iter_trace_closes_only_the_files_it_opens(tmp_path, compress):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
+_CLOSE_LINES = [_switch(10, 1, 2), _switch(20, 2, 1), _switch(30, 1, 2)]
+# how a read ends: the events it must yield first, and the error it ends in
+_CLOSE_OUTCOMES = {"end": (3, None), "first_event": (1, None),
+                   "malformed_line_2": (1, MalformedRecord), "cut_gzip": (0, MalformedRecord)}
+# how the caller hands the trace over; "path" and "bytes" leave no file
+# object with the caller
+_CLOSE_SOURCES = {
+    "path": lambda path: path,
+    "bytes": lambda path: path.read_bytes(),
+    "buffered": lambda path: open(path, "rb"),
+    "unbuffered": lambda path: open(path, "rb", buffering=0),
+    "bytesio": lambda path: io.BytesIO(path.read_bytes()),
+}
+
+
+# only a gzip stream can be cut short
+_CLOSE_CASES = [(compress, outcome) for compress in ("plain", "gzip")
+                for outcome in _CLOSE_OUTCOMES if compress == "gzip" or outcome != "cut_gzip"]
+
+
+@pytest.mark.parametrize("compress, outcome", _CLOSE_CASES,
+                         ids=[f"{c}-{o}" for c, o in _CLOSE_CASES])
+@pytest.mark.parametrize("source", _CLOSE_SOURCES)
+def test_iter_trace_closes_what_it_opens_on_every_exit_path(tmp_path, source, compress,
+                                                            outcome):
+    lines = list(_CLOSE_LINES)
+    if outcome == "malformed_line_2":
+        lines[1] = lines[1].replace('"kind"', '"kinds"')
+    data = _as_bytes(*lines)
+    if compress == "gzip":
+        data = gzip.compress(data)
+    if outcome == "cut_gzip":
+        data = data[:len(data) // 2]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    n_events, error = _CLOSE_OUTCOMES[outcome]
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    given = _CLOSE_SOURCES[source](path)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(events_mod, "open", spy_open, create=True):
+            warnings.simplefilter("always")
+            reader = iter_trace(given)
+            read = []
+            if error is None:
+                read.extend(reader if outcome == "end" else [next(reader)])
+                reader.close()
+            else:
+                with pytest.raises(error) as exc:
+                    for ev in reader:
+                        read.append(ev)
+                assert exc.value.line == n_events + 1
+            assert len(read) == n_events
+            del reader
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        assert len(opened) == (source == "path")
+        assert all(fh.closed for fh in opened)
+        if isinstance(given, io.IOBase):
+            assert not given.closed
+            given.seek(0)
+            assert given.read(1) == data[:1]
+    finally:
+        if isinstance(given, io.IOBase):
+            given.close()
+
+
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
 def test_read_trace_from_a_fifo(tmp_path, compress):
     data = _as_bytes(_switch(10, 1, 2), _switch(20, 2, 1), _switch(30, 1, 2))
@@ -553,6 +626,42 @@ def test_canonical_lines_of_every_kind_read_the_same_on_both_paths(records):
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_mutated_lines_of_every_kind_fail_alike_on_both_paths(records, data):
     _assert_both_paths_agree(_mutated(_canonical_lines(records), data))
+
+
+# a payload value by its validator, always one the record checks accept
+_VALID_VALUES = {events_mod._pos_int: st.integers(1, 2 ** 64),
+                 events_mod._nonneg_int: st.integers(0, 2 ** 64),
+                 events_mod._nonempty_str: st.text(min_size=1, max_size=6),
+                 events_mod._prev_state: st.sampled_from(events_mod.PREV_STATES),
+                 events_mod._waker_context: st.sampled_from(events_mod.WAKER_CONTEXTS)}
+
+
+@st.composite
+def _non_canonical_lines(draw) -> str:
+    """Valid records of any kind, in ts order, each written with json.dumps'
+    default separators, its keys shuffled and every non-ASCII char escaped."""
+    lines, ts = [], 0
+    for kind in draw(st.lists(st.sampled_from(list(EventKind)), min_size=1, max_size=5)):
+        ts += draw(st.integers(0, 10 ** 6))
+        rec = {"ts": ts, "cpu": draw(_VALID_VALUES[events_mod._nonneg_int]),
+               "tid": draw(_VALID_VALUES[events_mod._pos_int]),
+               "comm": draw(_VALID_VALUES[events_mod._nonempty_str]), "kind": kind.value}
+        for key, check in PAYLOAD_FIELDS[kind]:
+            rec[key] = draw(_VALID_VALUES[check])
+        if kind is EventKind.SCHED_SWITCH and rec["prev_tid"] == rec["next_tid"]:
+            rec["next_tid"] += 1
+        order = draw(st.permutations(list(rec)))
+        lines.append(json.dumps({key: rec[key] for key in order}, ensure_ascii=True) + "\n")
+    return "".join(lines)
+
+
+@given(text=_non_canonical_lines())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_non_canonical_lines_of_every_kind_read_as_json_loads_reads_them(text):
+    with mock.patch.object(events_mod, "_parse_line", wraps=events_mod._parse_line) as parse:
+        events = read_trace(text.encode())
+    assert parse.call_count == text.count("\n")  # every line took the JSON path
+    assert events == _events_by_json_loads(text)
 
 
 # -- write_trace writes what json.dumps writes -------------------------------
